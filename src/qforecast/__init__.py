@@ -2,6 +2,7 @@
 
 Submodules:
     qsim       statevector simulator (gates, circuits, Hadamard/swap tests)
+    backend    the numpy gate kernels qsim runs on
     pauli      Pauli-basis decomposition of Hermitian matrices
     linsys     differencing, scaling, sliding windows, normal equations
     optimize   derivative-free and quasi-Newton minimizers

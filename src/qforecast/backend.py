@@ -1,26 +1,34 @@
-"""Kernel backend selection.
+"""Statevector gate kernels in plain numpy.
 
-Imports the compiled Cython kernels when they are available and falls back
-to the pure-numpy implementations otherwise. Set QFORECAST_PURE_PYTHON=1
-to force the fallback, e.g. for benchmarking or debugging.
+Both kernels mutate the amplitude buffer in place and assume a C-contiguous
+complex128 array of length 2**num_qubits. Qubit 0 is the most significant
+bit of the basis index, so reshaping to (2,) * num_qubits puts qubit q on
+axis q.
 """
 
-import os
+import numpy as np
 
-from . import _kernels_py
+BACKEND_NAME = "python"
 
-if os.environ.get("QFORECAST_PURE_PYTHON"):
-    kernels = _kernels_py
-    COMPILED = False
-else:
-    try:
-        from . import _kernels as kernels  # type: ignore[attr-defined]
-        COMPILED = True
-    except ImportError:
-        kernels = _kernels_py
-        COMPILED = False
 
-BACKEND_NAME = "compiled" if COMPILED else "python"
+def apply_single_qubit(psi, num_qubits, qubit, m00, m01, m10, m11):
+    low = 1 << (num_qubits - 1 - qubit)
+    view = psi.reshape(-1, 2, low)
+    a = view[:, 0, :].copy()
+    b = view[:, 1, :]
+    view[:, 0, :] = m00 * a + m01 * b
+    view[:, 1, :] = m10 * a + m11 * b
 
-apply_single_qubit = kernels.apply_single_qubit
-apply_cnot = kernels.apply_cnot
+
+def apply_cnot(psi, num_qubits, control, target):
+    view = psi.reshape((2,) * num_qubits)
+    on = [slice(None)] * num_qubits
+    on[control] = 1
+    flipped = list(on)
+    on[target] = 0
+    flipped[target] = 1
+    on = tuple(on)
+    flipped = tuple(flipped)
+    tmp = np.copy(view[on])
+    view[on] = view[flipped]
+    view[flipped] = tmp

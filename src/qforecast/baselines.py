@@ -9,12 +9,12 @@ with momentum, no regularisation, no early stopping.
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linsys import WindowSystem, normal_equations, solve_classical
+from .linsys import (WindowSystem, atomic_write, normal_equations,
+                     solve_classical)
 
 HIDDEN_UNITS = 12
 
@@ -220,10 +220,8 @@ def save_linear(model: LinearModel, path: str) -> None:
     """One weight per line under a 'linear <m>' header, atomic replace."""
     lines = ["linear %d" % model.weights.size]
     lines.extend(repr(float(w)) for w in model.weights)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
 
 
 def load_linear(path: str) -> LinearModel:
@@ -254,10 +252,8 @@ def save_mlp(model: MlpModel, path: str) -> None:
         # repr of a Python float is the shortest exact round-trip form
         lines.extend(repr(float(v)) for v in arr.ravel())
     lines.append(repr(float(model.b3)))
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
 
 
 def load_mlp(path: str) -> MlpModel:

@@ -16,17 +16,14 @@ import numpy as np
 from . import baselines, pauli, pqc, vqls
 from .datagen import GeneratorConfig, generate
 from .linsys import (
-    TimeSeries,
-    build_windows,
+    add_months,
     condition_number,
-    difference,
-    fit_scaler,
-    normal_equations,
+    preprocess,
     read_series_csv,
-    split_mask,
-    write_csv,
+    write_predictions_csv,
+    write_scaled_csv,
     write_series_csv,
-    WindowSystem,
+    write_trace_csv,
 )
 from .pipeline import (
     DEFAULT_SPLIT,
@@ -127,30 +124,6 @@ def _model_predictor(kind: str, model):
     return lambda X: pqc.predict_batch(model, X)
 
 
-def _prepare(series: TimeSeries, split: date, window: int):
-    """Differenced, scaled windows plus the bits needed to undo the scaling.
-
-    Returns (scaler, scaled values, windows, train-row mask).
-    """
-    diffs = difference(series)
-    training = split_mask(diffs.dates, split)
-    if not training.any():
-        raise ValueError("no observations before the split date %s" % split)
-    scaler = fit_scaler(diffs.values[training])
-    scaled = scaler.apply(diffs.values)
-    windows = build_windows(scaled, window)
-    train_rows = split_mask(diffs.dates[window:], split)
-    if not train_rows.any():
-        raise ValueError(
-            "window %d leaves no training rows before %s" % (window, split))
-    return scaler, scaled, windows, train_rows
-
-
-def _write_trace(path: str, trace, label: str) -> None:
-    write_csv(path, ("iteration", label),
-              [(i, repr(float(v))) for i, v in enumerate(trace)])
-
-
 def cmd_generate(args) -> int:
     config = GeneratorConfig(start=args.start, num_months=args.months,
                              base=args.base, trend=args.trend,
@@ -165,25 +138,17 @@ def cmd_generate(args) -> int:
 
 def cmd_preprocess(args) -> int:
     series = read_series_csv(args.input, value_column=args.value_column)
-    diffs = difference(series)
-    training = split_mask(diffs.dates, args.split)
-    if not training.any():
-        raise ValueError("no observations before the split date %s"
-                         % args.split)
-    scaler = fit_scaler(diffs.values[training], half_width=args.half_width)
-    scaled = scaler.apply(diffs.values)
-    write_csv(args.out, ("Date", "Value"),
-              [(d.isoformat(), repr(float(v)))
-               for d, v in zip(diffs.dates, scaled)])
-    print("scale %r" % float(scaler.max_abs))
+    prep = preprocess(series, args.split, half_width=args.half_width)
+    write_scaled_csv(args.out, prep.scaled)
+    print("scale %r" % float(prep.scaler.max_abs))
     print("wrote %d scaled differences to %s (%d training)"
-          % (scaled.size, args.out, int(training.sum())))
+          % (len(prep.scaled), args.out, int(prep.train.sum())))
     return EXIT_OK
 
 
 def cmd_train_pqc(args) -> int:
     series = read_series_csv(args.input, value_column=args.value_column)
-    _, _, windows, train_rows = _prepare(series, args.split, args.window)
+    windows, train_rows = preprocess(series, args.split).windows(args.window)
     X, y = windows.X[train_rows], windows.y[train_rows]
     init = pqc.PqcModel.initialized(num_qubits=args.window,
                                     seed=subseed(args.seed, "pqc", "init"))
@@ -192,7 +157,7 @@ def cmd_train_pqc(args) -> int:
     trained, result = pqc.train(init, X, y, config)
     pqc.save_model(trained, args.model_out)
     if args.trace_out:
-        _write_trace(args.trace_out, result.trace, "loss")
+        write_trace_csv(args.trace_out, result.trace, "loss")
     print("trained on %d windows" % X.shape[0])
     print("loss %r -> %r in %d evaluations"
           % (result.trace[0], result.fun, result.evaluations))
@@ -203,7 +168,7 @@ def cmd_train_pqc(args) -> int:
 
 def cmd_train_baseline(args) -> int:
     series = read_series_csv(args.input, value_column=args.value_column)
-    _, _, windows, train_rows = _prepare(series, args.split, args.window)
+    windows, train_rows = preprocess(series, args.split).windows(args.window)
     X, y = windows.X[train_rows], windows.y[train_rows]
     if args.kind == "linear":
         model = baselines.fit_linear(X, y)
@@ -218,7 +183,7 @@ def cmd_train_baseline(args) -> int:
             init, X, y, learning_rate=args.learning_rate, epochs=args.epochs)
         baselines.save_mlp(model, args.model_out)
         if args.trace_out:
-            _write_trace(args.trace_out, trace, "loss")
+            write_trace_csv(args.trace_out, trace, "loss")
         print("trained on %d windows" % X.shape[0])
         print("loss %r -> %r over %d epochs"
               % (trace[0], baselines.mse(baselines.mlp_predict(model, X), y),
@@ -244,7 +209,7 @@ def cmd_solve_vqls(args) -> int:
     print("evaluations %d" % result.evaluations)
     print("converged %s" % result.converged)
     if args.trace_out:
-        _write_trace(args.trace_out, result.cost_trace, "cost")
+        write_trace_csv(args.trace_out, result.cost_trace, "cost")
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
@@ -263,17 +228,13 @@ def _forecast_with_model(args) -> int:
     series = read_series_csv(args.input, value_column=args.value_column)
     # the scaler is refit on the pre-split data, so pass the same series
     # and split the model was trained with
-    scaler, scaled, windows, train_rows = _prepare(series, args.split, window)
+    prep = preprocess(series, args.split)
+    windows, train_rows = prep.windows(window)
     preds = np.asarray(predictor(windows.X), dtype=float)
-    anchors = series.values[window:-1]
-    euro_preds = anchors + scaler.invert(preds)
-    euro_dates = series.dates[window + 1:]
-    actuals = series.values[window + 1:]
     if args.out:
-        write_csv(args.out, ("Date", "Actual", "Predicted"),
-                  [(d.isoformat(), "%.2f" % a, "%.2f" % p)
-                   for d, a, p in zip(euro_dates, actuals, euro_preds)])
-        print("wrote %d predictions to %s" % (len(euro_dates), args.out))
+        dates, actual, predicted = prep.to_units(preds, window)
+        write_predictions_csv(args.out, dates, actual, predicted)
+        print("wrote %d predictions to %s" % (len(dates), args.out))
     test = ~train_rows
     print("loaded %s model (window %d)" % (kind, window))
     print("train mse %.5f" % baselines.mse(preds[train_rows],
@@ -281,12 +242,11 @@ def _forecast_with_model(args) -> int:
     if test.any():
         print("test mse %.5f" % baselines.mse(preds[test], windows.y[test]))
     if args.horizon:
-        future_scaled = roll_predictions(predictor, scaled, window,
-                                         args.horizon)
+        future_scaled = roll_predictions(predictor, prep.scaled.values,
+                                         window, args.horizon)
         future_values = series.values[-1] + np.cumsum(
-            scaler.invert(future_scaled))
+            prep.scaler.invert(future_scaled))
         day = series.dates[-1]
-        from .linsys import add_months
         for step, value in enumerate(future_values, start=1):
             print("%s %.2f" % (add_months(day, step).isoformat(), value))
     return EXIT_OK

@@ -3,11 +3,14 @@
 The forecasting pipeline all runs on first differences scaled into
 [-half_width, half_width]. Sliding windows of m consecutive scaled
 differences predict the next one; stacking the windows gives X w ~= y and
-the normal equations A = X^T X, b = X^T y.
+the normal equations A = X^T X, b = X^T y. `preprocess` makes the
+differencing, split and scaling decisions for the pipeline and for every
+command-line entry point.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import os
@@ -147,43 +150,62 @@ def predict_next(weights, window) -> float:
     return float(weights @ window)
 
 
-def roll_forecast(weights, history, horizon: int, mode: str = "recursive",
-                  ) -> np.ndarray:
-    """Forecast `horizon` steps with a fixed weight vector.
-
-    recursive: start from the last window of `history` and feed each
-    prediction back in, extending beyond the end of the data.
-    one-step-true: predict each of the last `horizon` entries of `history`
-    from the actual values that precede it.
-    """
-    weights = np.asarray(weights, dtype=float)
-    history = np.asarray(history, dtype=float)
-    m = weights.size
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if mode == "recursive":
-        if history.size < m:
-            raise ValueError(f"need at least {m} history values")
-        buf = list(history[-m:])
-        out = []
-        for _ in range(horizon):
-            nxt = predict_next(weights, buf[-m:])
-            out.append(nxt)
-            buf.append(nxt)
-        return np.array(out)
-    if mode == "one-step-true":
-        if history.size < m + horizon:
-            raise ValueError(f"need at least {m + horizon} history values")
-        return np.array([
-            predict_next(weights, history[t - m:t])
-            for t in range(history.size - horizon, history.size)
-        ])
-    raise ValueError(f"mode must be 'recursive' or 'one-step-true', got {mode!r}")
-
-
 def split_mask(dates, split_date: date) -> np.ndarray:
     """True for dates strictly before the split (the training region)."""
     return np.array([d < split_date for d in dates])
+
+
+@dataclass(frozen=True)
+class Preprocessed:
+    """A series, its scaled first differences, and where the split falls.
+
+    `train` is True for the differences dated before the split; the scaler
+    was fitted to those alone.
+    """
+
+    series: TimeSeries
+    split_date: date
+    scaler: Scaler
+    scaled: TimeSeries
+    train: np.ndarray
+
+    def windows(self, window: int) -> tuple[WindowSystem, np.ndarray]:
+        """Sliding windows over the scaled differences, and the mask of the
+        rows whose label is dated before the split."""
+        windows = build_windows(self.scaled.values, window)
+        train_rows = self.train[window:]
+        if not train_rows.any():
+            raise ValueError("window %d leaves no training rows before %s"
+                             % (window, self.split_date))
+        return windows, train_rows
+
+    def to_units(self, scaled_preds, window: int):
+        """Dates, actual values and predictions in original units, one per
+        window row.
+
+        Row j predicts the step from series value j + window to the next
+        one, so its prediction is that previous actual value plus the
+        unscaled difference.
+        """
+        predicted = (self.series.values[window:-1]
+                     + self.scaler.invert(scaled_preds))
+        return (self.series.dates[window + 1:],
+                self.series.values[window + 1:], predicted)
+
+
+def preprocess(series: TimeSeries, split_date: date,
+               half_width: float = DEFAULT_HALF_WIDTH) -> Preprocessed:
+    """Difference the series and scale it by its largest pre-split change."""
+    diffs = difference(series)
+    train = split_mask(diffs.dates, split_date)
+    if not train.any():
+        raise ValueError("no observations before the split date %s"
+                         % split_date)
+    scaler = fit_scaler(diffs.values[train], half_width=half_width)
+    return Preprocessed(series=series, split_date=split_date, scaler=scaler,
+                        scaled=TimeSeries(diffs.dates,
+                                          scaler.apply(diffs.values)),
+                        train=train)
 
 
 def read_series_csv(path, value_column: str | None = None) -> TimeSeries:
@@ -214,17 +236,43 @@ def read_series_csv(path, value_column: str | None = None) -> TimeSeries:
     return TimeSeries(tuple(dates), np.array(values))
 
 
-def write_csv(path, header, rows) -> None:
-    """Write rows atomically: a temp file in place, then rename."""
+@contextlib.contextmanager
+def atomic_write(path, newline=None):
+    """Open a temp file next to `path` for writing; when the block finishes
+    without error, rename it over `path`."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
+    with open(tmp, "w", newline=newline) as fh:
+        yield fh
+    os.replace(tmp, path)
+
+
+def write_csv(path, header, rows) -> None:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    os.replace(tmp, path)
 
 
 def write_series_csv(path, series: TimeSeries, value_name: str = "Sales",
                      fmt: str = "%.2f") -> None:
     write_csv(path, ("Date", value_name),
               [(d.isoformat(), fmt % v) for d, v in zip(series.dates, series.values)])
+
+
+def write_scaled_csv(path, scaled: TimeSeries) -> None:
+    """Date,Value rows with every value at full precision."""
+    write_csv(path, ("Date", "Value"),
+              [(d.isoformat(), repr(float(v)))
+               for d, v in zip(scaled.dates, scaled.values)])
+
+
+def write_predictions_csv(path, dates, actual, predicted) -> None:
+    write_csv(path, ("Date", "Actual", "Predicted"),
+              [(d.isoformat(), "%.2f" % a, "%.2f" % p)
+               for d, a, p in zip(dates, actual, predicted)])
+
+
+def write_trace_csv(path, trace, label: str) -> None:
+    """One row per trace entry: its index and value."""
+    write_csv(path, ("iteration", label),
+              [(i, repr(float(v))) for i, v in enumerate(trace)])

@@ -186,10 +186,23 @@ def minimize_quasi_newton(fun, x0, grad, options: OptimOptions | None = None,
     rec = _Recorder(fun, opts.max_evals)
     try:
         f = _check_start(x, rec)
-        g = np.asarray(grad(x), dtype=float)
+        g = s = None
         s_list: list[np.ndarray] = []
         y_list: list[np.ndarray] = []
         for iteration in range(opts.max_iters):
+            # the gradient is taken at the top of an iteration, so a run
+            # that stops after its last step never asks for an unused one
+            g_new = np.asarray(grad(x), dtype=float)
+            if s is not None:
+                y = g_new - g
+                curvature = float(s @ y)
+                if curvature > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
+                    s_list.append(s)
+                    y_list.append(y)
+                    if len(s_list) > opts.history:
+                        s_list.pop(0)
+                        y_list.pop(0)
+            g = g_new
             projected_grad = x - _project(x - g, opts.bounds)
             if float(np.max(np.abs(projected_grad))) <= opts.grad_tol:
                 return rec.result(True, "gradient below tolerance")
@@ -215,18 +228,9 @@ def minimize_quasi_newton(fun, x0, grad, options: OptimOptions | None = None,
                 alpha *= 0.5
             if not accepted:
                 return rec.result(True, "no further decrease along search line")
-            g_trial = np.asarray(grad(trial), dtype=float)
             s = trial - x
-            y = g_trial - g
-            curvature = float(s @ y)
-            if curvature > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
-                s_list.append(s)
-                y_list.append(y)
-                if len(s_list) > opts.history:
-                    s_list.pop(0)
-                    y_list.pop(0)
             delta = f - f_trial
-            x, f, g = trial, f_trial, g_trial
+            x, f = trial, f_trial
             if delta <= opts.f_tol * max(1.0, abs(f)):
                 return rec.result(True, "objective delta below tolerance")
             if float(np.linalg.norm(s)) <= opts.step_tol:

@@ -22,13 +22,13 @@ from .linsys import (
     Scaler,
     TimeSeries,
     WindowSystem,
-    build_windows,
+    atomic_write,
     condition_number,
-    difference,
-    fit_scaler,
     normal_equations,
-    split_mask,
-    write_csv,
+    preprocess,
+    write_predictions_csv,
+    write_scaled_csv,
+    write_trace_csv,
 )
 
 DEFAULT_SPLIT = date(2021, 9, 1)
@@ -181,48 +181,30 @@ def run_pipeline(series: TimeSeries, specs=None,
     if len({s.name for s in specs}) != len(specs):
         raise ValueError("model names must be unique")
 
-    diffs = difference(series)
-    train_diffs = split_mask(diffs.dates, split_date)
-    if not train_diffs.any():
-        raise ValueError("no observations before the split date")
-    scaler = fit_scaler(diffs.values[train_diffs])
-    scaled = scaler.apply(diffs.values)
-    scaled_series = TimeSeries(diffs.dates, scaled)
-
+    prep = preprocess(series, split_date)
     reports = []
     for spec in specs:
-        windows = build_windows(scaled, spec.window)
-        label_dates = diffs.dates[spec.window:]
-        train_rows = split_mask(label_dates, split_date)
-        if not train_rows.any() or train_rows.all():
-            raise ValueError(
-                "split %s leaves no %s data for window %d" % (
-                    split_date,
-                    "training" if not train_rows.any() else "test",
-                    spec.window))
+        windows, train_rows = prep.windows(spec.window)
+        if train_rows.all():
+            raise ValueError("split %s leaves no test data for window %d"
+                             % (split_date, spec.window))
         train = WindowSystem(X=windows.X[train_rows],
                              y=windows.y[train_rows], window=spec.window)
         preds, trace, extras = _fit_and_predict(spec, train, windows.X, seed)
         train_mse = baselines.mse(preds[train_rows], windows.y[train_rows])
         test_mse = baselines.mse(preds[~train_rows], windows.y[~train_rows])
-
-        # back to original units: previous actual value plus the predicted
-        # difference; label at scaled index j pairs with series index j+1
-        anchors = series.values[spec.window:-1]
-        euro_preds = anchors + scaler.invert(preds)
-        euro_dates = series.dates[spec.window + 1:]
-        predictions = TimeSeries(euro_dates, euro_preds)
-        actuals = TimeSeries(euro_dates, series.values[spec.window + 1:])
+        dates, actual, predicted = prep.to_units(preds, spec.window)
         reports.append(ModelReport(
             name=spec.name, kind=spec.kind, window=spec.window,
             train_mse=train_mse, test_mse=test_mse,
             num_train=int(train_rows.sum()),
             num_test=int((~train_rows).sum()),
-            predictions=predictions, actuals=actuals,
+            predictions=TimeSeries(dates, predicted),
+            actuals=TimeSeries(dates, actual),
             trace=trace, extras=extras))
 
-    run = RunReport(split_date=split_date, seed=seed, scaler=scaler,
-                    scaled_diffs=scaled_series, reports=tuple(reports))
+    run = RunReport(split_date=split_date, seed=seed, scaler=prep.scaler,
+                    scaled_diffs=prep.scaled, reports=tuple(reports))
     if out_dir is not None:
         write_artifacts(run, out_dir)
     return run
@@ -253,31 +235,23 @@ def roll_predictions(predict_fn, values, window: int,
 def write_artifacts(run: RunReport, out_dir: str) -> None:
     """CSV and text outputs; all writes are atomic renames."""
     os.makedirs(out_dir, exist_ok=True)
-    write_csv(os.path.join(out_dir, "preprocessed.csv"), ("Date", "Value"),
-              [(d.isoformat(), repr(float(v)))
-               for d, v in zip(run.scaled_diffs.dates,
-                               run.scaled_diffs.values)])
+    write_scaled_csv(os.path.join(out_dir, "preprocessed.csv"),
+                     run.scaled_diffs)
     for report in run.reports:
-        write_csv(
+        write_predictions_csv(
             os.path.join(out_dir, "predictions_%s.csv" % report.name),
-            ("Date", "Actual", "Predicted"),
-            [(d.isoformat(), "%.2f" % a, "%.2f" % p)
-             for d, a, p in zip(report.predictions.dates,
-                                report.actuals.values,
-                                report.predictions.values)])
+            report.predictions.dates, report.actuals.values,
+            report.predictions.values)
         if report.trace:
             label = "cost" if report.kind == "vqls" else "loss"
-            write_csv(
+            write_trace_csv(
                 os.path.join(out_dir, "trace_%s.csv" % report.name),
-                ("iteration", label),
-                [(i, repr(float(v))) for i, v in enumerate(report.trace)])
+                report.trace, label)
     text = "split %s, seed %d, scale %r\n\n%s\n" % (
         run.split_date.isoformat(), run.seed, float(run.scaler.max_abs),
         run.table())
     details = run.details()
     if details:
         text += "\n" + details + "\n"
-    tmp = os.path.join(out_dir, "report.txt.tmp")
-    with open(tmp, "w") as fh:
+    with atomic_write(os.path.join(out_dir, "report.txt")) as fh:
         fh.write(text)
-    os.replace(tmp, os.path.join(out_dir, "report.txt"))

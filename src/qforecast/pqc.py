@@ -16,12 +16,12 @@ theta[L * 2k + 2q] is the RX angle of qubit q in block L.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import optimize, qsim
+from .linsys import atomic_write
 
 VARIATIONAL_BLOCKS = 2
 
@@ -134,14 +134,9 @@ def gradient(model: PqcModel, windows, labels, method: str = "parameter-shift",
     windows = np.atleast_2d(np.asarray(windows, dtype=float))
     labels = np.asarray(labels, dtype=float).ravel()
     if method == "finite-difference":
-        grad = np.empty(model.num_parameters)
-        for p in range(model.num_parameters):
-            shift = np.zeros(model.num_parameters)
-            shift[p] = h
-            up = loss(model.with_theta(model.theta + shift), windows, labels)
-            down = loss(model.with_theta(model.theta - shift), windows, labels)
-            grad[p] = (up - down) / (2 * h)
-        return grad
+        return optimize.finite_diff_gradient(
+            lambda theta: loss(model.with_theta(theta), windows, labels),
+            model.theta, h=h)
     if method != "parameter-shift":
         raise ValueError(f"method must be 'parameter-shift' or "
                          f"'finite-difference', got {method!r}")
@@ -198,10 +193,8 @@ def save_model(model: PqcModel, path) -> None:
              f"observable {model.observable}",
              f"feature_scale {model.feature_scale!r}"]
     lines += [repr(float(t)) for t in model.theta]
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
 
 
 def load_model(path) -> PqcModel:

@@ -4,8 +4,8 @@ Conventions:
     * Qubit 0 is the leftmost tensor factor, i.e. the most significant bit
       of the basis index: |q0 q1 ... q_{k-1}>.
     * States are complex128 and unit norm; operations return new states.
-    * Single-qubit gates and CNOT go through the selected kernel backend
-      (compiled or pure numpy); multi-qubit dense unitaries use numpy.
+    * Single-qubit gates and CNOT go through the in-place numpy kernels
+      of qforecast.backend; multi-qubit dense unitaries use numpy.
 """
 
 from __future__ import annotations

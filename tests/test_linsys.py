@@ -9,8 +9,9 @@ import pytest
 from qforecast.linsys import (NormalSystem, Scaler, TimeSeries, add_months,
                               build_windows, condition_number, difference,
                               fit_scaler, invert_difference, normal_equations,
-                              predict_next, read_series_csv, roll_forecast,
+                              predict_next, preprocess, read_series_csv,
                               solve_classical, split_mask, write_series_csv)
+from qforecast.pipeline import roll_predictions
 
 
 def monthly(values, start=date(2020, 1, 1)):
@@ -178,34 +179,23 @@ class TestForecast:
 
     def test_recursive_feeds_back(self):
         # weights pick the last value: constant continuation
-        out = roll_forecast([0.0, 1.0], [1.0, 2.0, 3.0], horizon=3)
+        w = np.array([0.0, 1.0])
+        out = roll_predictions(lambda X: X @ w, [1.0, 2.0, 3.0], 2, 3)
         assert np.allclose(out, [3.0, 3.0, 3.0])
 
     def test_recursive_horizon_one_matches_predict_next(self):
         rng = np.random.default_rng(5)
         w = rng.normal(size=4)
         hist = rng.normal(size=10)
-        got = roll_forecast(w, hist, horizon=1, mode="recursive")
+        got = roll_predictions(lambda X: X @ w, hist, 4, 1)
         assert got[0] == pytest.approx(predict_next(w, hist[-4:]))
-
-    def test_one_step_true_uses_actual_windows(self):
-        rng = np.random.default_rng(6)
-        w = rng.normal(size=3)
-        hist = rng.normal(size=12)
-        got = roll_forecast(w, hist, horizon=4, mode="one-step-true")
-        want = [predict_next(w, hist[t - 3:t]) for t in range(8, 12)]
-        assert np.allclose(got, want)
 
     def test_geometric_recursive_continuation(self):
         r = 1.05
         values = r ** np.arange(14.0)
         w = solve_classical(normal_equations(build_windows(values, window=4)))
-        out = roll_forecast(w, values, horizon=3, mode="recursive")
+        out = roll_predictions(lambda X: X @ w, values, 4, 3)
         assert np.allclose(out, [r ** 14, r ** 15, r ** 16], rtol=1e-6)
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            roll_forecast([1.0], [1.0, 2.0], horizon=1, mode="sideways")
 
 
 class TestSplitMask:
@@ -213,6 +203,30 @@ class TestSplitMask:
         dates = (date(2021, 8, 1), date(2021, 9, 1), date(2021, 10, 1))
         mask = split_mask(dates, date(2021, 9, 1))
         assert list(mask) == [True, False, False]
+
+
+class TestPreprocess:
+    def test_scaled_windows_and_units(self):
+        series = monthly([10.0, 12.0, 11.0, 15.0, 14.0, 20.0, 18.0])
+        prep = preprocess(series, date(2020, 5, 1))
+        # differences 2, -1, 4, -1, 6, -2; the first three precede the split
+        assert prep.scaler.max_abs == 4.0
+        assert list(prep.train) == [True] * 3 + [False] * 3
+        windows, train_rows = prep.windows(2)
+        assert np.allclose(windows.y, [0.25, -0.0625, 0.375, -0.125])
+        assert list(train_rows) == [True, False, False, False]
+        # exact scaled labels map back to the actual values
+        dates, actual, predicted = prep.to_units(windows.y, 2)
+        assert dates == series.dates[3:]
+        assert np.array_equal(actual, [15.0, 14.0, 20.0, 18.0])
+        assert np.allclose(predicted, actual)
+
+    def test_rejects_splits_without_training_data(self):
+        series = monthly([10.0, 12.0, 11.0, 15.0, 14.0])
+        with pytest.raises(ValueError, match="before the split"):
+            preprocess(series, date(2020, 1, 1))
+        with pytest.raises(ValueError, match="training"):
+            preprocess(series, date(2020, 3, 1)).windows(2)
 
 
 class TestCsv:

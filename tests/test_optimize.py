@@ -148,6 +148,27 @@ class TestQuasiNewton:
         assert res.evaluations <= 5
         assert not res.converged
 
+    def test_iteration_cap_makes_one_gradient_per_iteration(self):
+        rng = np.random.default_rng(3)
+        fun, grad, _ = random_quadratic(rng, 5)
+        points = []
+        counted = lambda x: (points.append(x.copy()), grad(x))[1]
+        res = minimize_quasi_newton(fun, rng.normal(size=5), counted,
+                                    OptimOptions(max_iters=3))
+        assert res.message == "iteration limit reached"
+        assert len(points) == 3
+
+    def test_objective_delta_stop_skips_the_last_gradient(self):
+        # a loose f_tol stops after the first accepted step, whose end point
+        # needs no gradient
+        points = []
+        counted = lambda x: (points.append(x.copy()), ellipse_grad(x))[1]
+        res = minimize_quasi_newton(ellipse, [3.0, 4.0], counted,
+                                    OptimOptions(f_tol=1.0))
+        assert res.message == "objective delta below tolerance"
+        assert len(points) == 1
+        np.testing.assert_array_equal(points[0], [3.0, 4.0])
+
     def test_works_with_finite_diff_gradient(self):
         grad = lambda x: finite_diff_gradient(ellipse, x)
         res = minimize_quasi_newton(ellipse, [2.0, -1.0], grad)
