@@ -1,7 +1,7 @@
 """Quantum-circuit and classical baselines for monthly time-series forecasting.
 
 Submodules:
-    qsim       statevector simulator (gates, circuits, Hadamard/swap tests)
+    qsim       statevector simulator (gates, circuits, Hadamard tests)
     backend    the numpy gate kernels qsim runs on
     pauli      Pauli-basis decomposition of Hermitian matrices
     linsys     differencing, scaling, sliding windows, normal equations
@@ -9,6 +9,7 @@ Submodules:
     vqls       variational quantum linear solver
     pqc        parameterized-quantum-circuit regressor
     baselines  classical linear and MLP regressors
+    modelfile  the one saved-model format: writer and reader
     datagen    synthetic sales-like series generator
     pipeline   end-to-end train/evaluate runs
     cli        command-line interface

@@ -8,13 +8,11 @@ with momentum, no regularisation, no early stopping.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linsys import (WindowSystem, atomic_write, normal_equations,
-                     solve_classical)
+from .linsys import WindowSystem, normal_equations, solve_classical
 
 HIDDEN_UNITS = 12
 
@@ -214,71 +212,3 @@ def mlp_train(model: MlpModel, features: np.ndarray, labels: np.ndarray,
                            w2=params["w2"], b2=params["b2"],
                            w3=params["w3"], b3=float(params["b3"]))
     return current, trace
-
-
-def save_linear(model: LinearModel, path: str) -> None:
-    """One weight per line under a 'linear <m>' header, atomic replace."""
-    lines = ["linear %d" % model.weights.size]
-    lines.extend(repr(float(w)) for w in model.weights)
-    with atomic_write(path) as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_linear(path: str) -> LinearModel:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("linear "):
-        raise ValueError(path + ": not a saved linear model (missing header)")
-    try:
-        count = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise ValueError(path + ": malformed header %r" % lines[0])
-    if len(lines) - 1 != count:
-        raise ValueError(path + ": expected %d weights, found %d"
-                         % (count, len(lines) - 1))
-    try:
-        weights = np.array([float(v) for v in lines[1:]])
-    except ValueError as exc:
-        raise ValueError(path + ": non-numeric weight (%s)" % exc)
-    return LinearModel(weights)
-
-
-def save_mlp(model: MlpModel, path: str) -> None:
-    """Plain-text persistence, full precision, atomic replace."""
-    h1, n_in = model.w1.shape
-    h2 = model.w2.shape[0]
-    lines = ["mlp %d %d %d" % (n_in, h1, h2)]
-    for arr in (model.w1, model.b1, model.w2, model.b2, model.w3):
-        # repr of a Python float is the shortest exact round-trip form
-        lines.extend(repr(float(v)) for v in arr.ravel())
-    lines.append(repr(float(model.b3)))
-    with atomic_write(path) as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_mlp(path: str) -> MlpModel:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("mlp "):
-        raise ValueError(path + ": not a saved network (missing header)")
-    try:
-        _, n_in_s, h1_s, h2_s = lines[0].split()
-        n_in, h1, h2 = int(n_in_s), int(h1_s), int(h2_s)
-    except ValueError:
-        raise ValueError(path + ": malformed header %r" % lines[0])
-    counts = [h1 * n_in, h1, h2 * h1, h2, h2, 1]
-    if len(lines) - 1 != sum(counts):
-        raise ValueError(path + ": expected %d values, found %d"
-                         % (sum(counts), len(lines) - 1))
-    try:
-        values = [float(v) for v in lines[1:]]
-    except ValueError as exc:
-        raise ValueError(path + ": non-numeric value (%s)" % exc)
-    pos = 0
-    chunks = []
-    for count in counts:
-        chunks.append(np.array(values[pos:pos + count]))
-        pos += count
-    return MlpModel(w1=chunks[0].reshape(h1, n_in), b1=chunks[1],
-                    w2=chunks[2].reshape(h2, h1), b2=chunks[3],
-                    w3=chunks[4], b3=chunks[5][0])

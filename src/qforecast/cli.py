@@ -25,6 +25,7 @@ from .linsys import (
     write_series_csv,
     write_trace_csv,
 )
+from .modelfile import fields, load_any_model, save_model
 from .pipeline import (
     DEFAULT_SPLIT,
     KINDS,
@@ -95,27 +96,6 @@ def read_vector_csv(path: str) -> np.ndarray:
     return np.array(values)
 
 
-def load_any_model(path: str):
-    """Sniff the header line and dispatch to the right loader."""
-    with open(path) as fh:
-        first = fh.readline().strip()
-    if first.startswith("linear "):
-        return "linear", baselines.load_linear(path)
-    if first.startswith("mlp "):
-        return "mlp", baselines.load_mlp(path)
-    if first.startswith("num_qubits "):
-        return "pqc", pqc.load_model(path)
-    raise ValueError(path + ": unrecognized model file (header %r)" % first)
-
-
-def _model_window(kind: str, model) -> int:
-    if kind == "linear":
-        return model.weights.size
-    if kind == "mlp":
-        return model.num_inputs
-    return model.num_qubits
-
-
 def _model_predictor(kind: str, model):
     if kind == "linear":
         return model.predict
@@ -155,7 +135,7 @@ def cmd_train_pqc(args) -> int:
     config = pqc.TrainConfig(optimizer=args.optimizer,
                              max_iters=args.max_iters)
     trained, result = pqc.train(init, X, y, config)
-    pqc.save_model(trained, args.model_out)
+    save_model(trained, args.model_out)
     if args.trace_out:
         write_trace_csv(args.trace_out, result.trace, "loss")
     print("trained on %d windows" % X.shape[0])
@@ -172,7 +152,7 @@ def cmd_train_baseline(args) -> int:
     X, y = windows.X[train_rows], windows.y[train_rows]
     if args.kind == "linear":
         model = baselines.fit_linear(X, y)
-        baselines.save_linear(model, args.model_out)
+        save_model(model, args.model_out)
         train_mse = baselines.mse(model.predict(X), y)
         print("trained on %d windows" % X.shape[0])
         print("training mse %r" % train_mse)
@@ -181,7 +161,7 @@ def cmd_train_baseline(args) -> int:
             num_inputs=args.window, seed=subseed(args.seed, "mlp", "init"))
         model, trace = baselines.mlp_train(
             init, X, y, learning_rate=args.learning_rate, epochs=args.epochs)
-        baselines.save_mlp(model, args.model_out)
+        save_model(model, args.model_out)
         if args.trace_out:
             write_trace_csv(args.trace_out, trace, "loss")
         print("trained on %d windows" % X.shape[0])
@@ -223,7 +203,7 @@ def cmd_decompose(args) -> int:
 
 def _forecast_with_model(args) -> int:
     kind, model = load_any_model(args.model)
-    window = _model_window(kind, model)
+    window = fields(model)[1]
     predictor = _model_predictor(kind, model)
     series = read_series_csv(args.input, value_column=args.value_column)
     # the scaler is refit on the pre-split data, so pass the same series

@@ -148,11 +148,3 @@ def reconstruct(decomposition: PauliDecomposition) -> np.ndarray:
     for alpha, string in decomposition.terms:
         out += alpha * pauli_matrix(string)
     return out
-
-
-def prune(decomposition: PauliDecomposition, epsilon: float) -> PauliDecomposition:
-    """Drop terms with |alpha| < epsilon; epsilon = 0 keeps everything."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
-    kept = tuple((a, s) for a, s in decomposition.terms if abs(a) >= epsilon)
-    return PauliDecomposition(decomposition.num_qubits, kept)

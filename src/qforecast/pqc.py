@@ -1,13 +1,12 @@
 """Parameterized-quantum-circuit regressor for sliding-window forecasting.
 
 Architecture (for k qubits, default 12): each of the k window values is
-angle-encoded as RY(feature_scale * x_i) on its own qubit, followed by two
-variational blocks. Block L applies a CNOT entangling pattern and then
-RX(theta), RY(theta) on every qubit. The first pattern pairs neighbors
-(0,1), (2,3), ...; the second shifts by one, (1,2), (3,4), ..., and closes
-the ring with (k-1, 0) when k >= 3. The prediction is the expectation of
-Z on qubit 0, so outputs live in [-1, 1] and match the scaled-difference
-target range.
+angle-encoded as RY(x_i) on its own qubit, followed by two variational
+blocks. Block L applies a CNOT entangling pattern and then RX(theta),
+RY(theta) on every qubit. The first pattern pairs neighbors (0,1), (2,3),
+...; the second shifts by one, (1,2), (3,4), ..., and closes the ring with
+(k-1, 0) when k >= 3. The prediction is the expectation of Z on qubit 0,
+so outputs live in [-1, 1] and match the scaled-difference target range.
 
 Parameters are flat, layer-major then qubit-minor, RX before RY:
 theta[L * 2k + 2q] is the RX angle of qubit q in block L.
@@ -21,46 +20,31 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import optimize, qsim
-from .linsys import atomic_write
 
 VARIATIONAL_BLOCKS = 2
-
-
-def _validate_observable(label: str, num_qubits: int) -> str:
-    if len(label) != num_qubits or any(ch not in "IXYZ" for ch in label):
-        raise ValueError(f"bad observable {label!r} for {num_qubits} qubits")
-    return label
 
 
 @dataclass(frozen=True)
 class PqcModel:
     theta: np.ndarray
     num_qubits: int = 12
-    feature_scale: float = 1.0
-    observable: str = ""
 
     def __post_init__(self):
         if self.num_qubits < 1:
             raise ValueError("need at least one qubit")
-        observable = self.observable or "Z" + "I" * (self.num_qubits - 1)
-        _validate_observable(observable, self.num_qubits)
         theta = np.array(self.theta, dtype=float)
         want = VARIATIONAL_BLOCKS * 2 * self.num_qubits
         if theta.shape != (want,):
             raise ValueError(f"theta has shape {theta.shape}, expected ({want},)")
         theta.setflags(write=False)
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "observable", observable)
 
     @classmethod
-    def initialized(cls, num_qubits: int = 12, seed: int = 0,
-                    feature_scale: float = 1.0, observable: str = "",
-                    ) -> "PqcModel":
+    def initialized(cls, num_qubits: int = 12, seed: int = 0) -> "PqcModel":
         """Fresh model with theta drawn uniformly from [-0.1, 0.1]."""
         rng = np.random.default_rng(seed)
         theta = rng.uniform(-0.1, 0.1, size=VARIATIONAL_BLOCKS * 2 * num_qubits)
-        return cls(theta=theta, num_qubits=num_qubits,
-                   feature_scale=feature_scale, observable=observable)
+        return cls(theta=theta, num_qubits=num_qubits)
 
     @property
     def num_parameters(self) -> int:
@@ -70,12 +54,12 @@ class PqcModel:
         return replace(self, theta=np.asarray(theta, dtype=float))
 
 
-def feature_map(window, feature_scale: float = 1.0) -> qsim.Circuit:
-    """Angle encoding: RY(feature_scale * x_i) on qubit i."""
+def feature_map(window) -> qsim.Circuit:
+    """Angle encoding: RY(x_i) on qubit i."""
     window = np.asarray(window, dtype=float)
     circuit = qsim.Circuit(window.size)
     for q, x in enumerate(window):
-        circuit.ry(q, feature_scale * float(x))
+        circuit.ry(q, float(x))
     return circuit
 
 
@@ -92,7 +76,7 @@ def model_circuit(model: PqcModel, window) -> qsim.Circuit:
     window = np.asarray(window, dtype=float)
     if window.size != model.num_qubits:
         raise ValueError(f"window length {window.size} != {model.num_qubits} qubits")
-    circuit = feature_map(window, model.feature_scale)
+    circuit = feature_map(window)
     k = model.num_qubits
     for block in range(VARIATIONAL_BLOCKS):
         for control, target in _entangler_pairs(k, block):
@@ -106,7 +90,7 @@ def model_circuit(model: PqcModel, window) -> qsim.Circuit:
 
 def predict(model: PqcModel, window) -> float:
     state = qsim.run_circuit(model_circuit(model, window))
-    return qsim.expectation(state, model.observable)
+    return qsim.expectation(state, "Z" + "I" * (model.num_qubits - 1))
 
 
 def predict_batch(model: PqcModel, windows) -> np.ndarray:
@@ -157,7 +141,6 @@ class TrainConfig:
     optimizer: str = "cobyla"
     max_iters: int = 300
     max_evals: int | None = None
-    gradient_method: str = "parameter-shift"
 
 
 def train(model: PqcModel, windows, labels, config: TrainConfig | None = None,
@@ -177,8 +160,7 @@ def train(model: PqcModel, windows, labels, config: TrainConfig | None = None,
         result = optimize.minimize_derivative_free(objective, model.theta, options)
     elif config.optimizer == "lbfgs":
         def grad(theta):
-            return gradient(model.with_theta(theta), windows, labels,
-                            method=config.gradient_method)
+            return gradient(model.with_theta(theta), windows, labels)
         result = optimize.minimize_quasi_newton(objective, model.theta, grad,
                                                 options)
     else:
@@ -188,31 +170,6 @@ def train(model: PqcModel, windows, labels, config: TrainConfig | None = None,
 
 
 def save_model(model: PqcModel, path) -> None:
-    """Plain-text persistence: header key-value lines, then theta values."""
-    lines = [f"num_qubits {model.num_qubits}",
-             f"observable {model.observable}",
-             f"feature_scale {model.feature_scale!r}"]
-    lines += [repr(float(t)) for t in model.theta]
-    with atomic_write(path) as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_model(path) -> PqcModel:
-    with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    header = {}
-    body = []
-    for line in lines:
-        parts = line.split()
-        if len(parts) == 2 and parts[0] in ("num_qubits", "observable",
-                                            "feature_scale"):
-            header[parts[0]] = parts[1]
-        else:
-            body.append(float(line))
-    try:
-        return PqcModel(theta=np.array(body),
-                        num_qubits=int(header["num_qubits"]),
-                        feature_scale=float(header["feature_scale"]),
-                        observable=header["observable"])
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing header line {exc}") from None
+    """Write the model in the format of qforecast.modelfile."""
+    from .modelfile import save_model  # modelfile imports this module
+    save_model(model, path)

@@ -248,13 +248,6 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     return mat
 
 
-def inner_product(a: Statevector, b: Statevector) -> complex:
-    """<a|b> with the conjugate on the first argument."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("qubit counts differ")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
 def _pauli_digits(observable, num_qubits: int) -> tuple[int, ...]:
     if isinstance(observable, str):
         try:
@@ -305,18 +298,6 @@ def prepare_state(amplitudes: np.ndarray) -> np.ndarray:
     return phase * (np.eye(v.size, dtype=complex) - 2.0 * np.outer(u, u.conj()) / uu)
 
 
-def controlled(matrix: np.ndarray) -> np.ndarray:
-    """Block matrix diag(I, U): a new most-significant control qubit."""
-    u = np.asarray(matrix, dtype=complex)
-    if not is_unitary(u):
-        raise ValueError("matrix is not unitary within 1e-10")
-    dim = u.shape[0]
-    out = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    out[:dim, :dim] = np.eye(dim)
-    out[dim:, dim:] = u
-    return out
-
-
 def _as_rng(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
@@ -353,35 +334,6 @@ def hadamard_test(matrix: np.ndarray, part: str = "real",
     backend.apply_single_qubit(buf, num_qubits, 0,
                                _H[0, 0], _H[0, 1], _H[1, 0], _H[1, 1])
     p0 = float(np.sum(np.abs(buf[:dim]) ** 2))
-    if shots is None:
-        return 2.0 * p0 - 1.0
-    p0 = min(max(p0, 0.0), 1.0)
-    zeros = _as_rng(rng).binomial(shots, p0)
-    return 2.0 * zeros / shots - 1.0
-
-
-_FREDKIN = np.eye(8, dtype=complex)
-_FREDKIN[[5, 6]] = _FREDKIN[[6, 5]]
-
-
-def swap_test(a: Statevector, b: Statevector,
-              shots: int | None = None, rng=None) -> float:
-    """Estimate |<a|b>|^2 via the ancilla-controlled swap circuit."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("qubit counts differ")
-    if shots is not None and shots <= 0:
-        raise ValueError(f"shots must be positive, got {shots}")
-    k = a.num_qubits
-    num_qubits = 1 + 2 * k
-    buf = np.kron(np.array([1.0, 0.0], dtype=complex),
-                  np.kron(a.amplitudes, b.amplitudes))
-    backend.apply_single_qubit(buf, num_qubits, 0,
-                               _H[0, 0], _H[0, 1], _H[1, 0], _H[1, 1])
-    for j in range(k):
-        _apply_dense(buf, num_qubits, (0, 1 + j, 1 + k + j), _FREDKIN)
-    backend.apply_single_qubit(buf, num_qubits, 0,
-                               _H[0, 0], _H[0, 1], _H[1, 0], _H[1, 1])
-    p0 = float(np.sum(np.abs(buf[:buf.size // 2]) ** 2))
     if shots is None:
         return 2.0 * p0 - 1.0
     p0 = min(max(p0, 0.0), 1.0)

@@ -5,10 +5,7 @@ with a layered hardware-style ansatz and minimizes
 
     C(theta) = 1 - |<b|psi>|^2 / <psi|psi>,    |psi> = A |x(theta)>,
 
-which is zero exactly when A|x> is parallel to |b>. The normalized form is
-the default; the unnormalized variant C = 1 - |<b|psi>|^2 is kept behind a
-flag for comparison, but its minimum does not coincide with the solution
-direction in general, so it is not used by the pipeline.
+which is zero exactly when A|x> is parallel to |b>.
 
 Cost terms can be evaluated analytically or through Hadamard-test
 estimators (exact or shot-sampled) over the retained Pauli terms.
@@ -137,31 +134,9 @@ def _hadamard_complex(u, shots, rng) -> complex:
     return complex(real, imag)
 
 
-def overlap_term(problem: VqlsProblem, index: int, theta, ansatz=None,
-                 estimator: str = "analytic", shots: int | None = None,
-                 rng=None) -> complex:
-    """<b | M_index | x(theta)> for the index-th retained Pauli term."""
-    if not 0 <= index < len(problem.decomposition.terms):
-        raise ValueError(f"term index {index} out of range")
-    ansatz = ansatz or AnsatzSpec.default(problem.num_qubits)
-    if estimator == "analytic":
-        x = ansatz_state(ansatz, theta)
-        m = pauli.pauli_matrix(problem.decomposition.terms[index][1])
-        return complex(np.vdot(problem.b_state, m @ x))
-    if estimator == "hadamard":
-        v = qsim.circuit_unitary(ansatz_circuit(ansatz, theta))
-        m = pauli.pauli_matrix(problem.decomposition.terms[index][1])
-        composite = problem.prepare_b.conj().T @ m @ v
-        return _hadamard_complex(composite, shots, qsim._as_rng(rng))
-    raise ValueError(f"estimator must be 'analytic' or 'hadamard', got {estimator!r}")
-
-
-def _cost_from_state(problem: VqlsProblem, x: np.ndarray,
-                     normalized: bool = True) -> float:
+def _cost_from_state(problem: VqlsProblem, x: np.ndarray) -> float:
     psi = problem.a_used @ x
     overlap = abs(np.vdot(problem.b_state, psi)) ** 2
-    if not normalized:
-        return float(1.0 - overlap)
     denom = float(np.real(np.vdot(psi, psi)))
     if denom <= 1e-300:
         return 1.0
@@ -169,11 +144,11 @@ def _cost_from_state(problem: VqlsProblem, x: np.ndarray,
 
 
 def cost(problem: VqlsProblem, theta, ansatz=None, estimator: str = "analytic",
-         shots: int | None = None, rng=None, normalized: bool = True) -> float:
+         shots: int | None = None, rng=None) -> float:
     """Cost of the trial state at theta; 0 means A|x> is parallel to |b>."""
     ansatz = ansatz or AnsatzSpec.default(problem.num_qubits)
     if estimator == "analytic":
-        return _cost_from_state(problem, ansatz_state(ansatz, theta), normalized)
+        return _cost_from_state(problem, ansatz_state(ansatz, theta))
     if estimator != "hadamard":
         raise ValueError(f"estimator must be 'analytic' or 'hadamard', "
                          f"got {estimator!r}")
@@ -186,8 +161,6 @@ def cost(problem: VqlsProblem, theta, ansatz=None, estimator: str = "analytic",
     for a, m in zip(alphas, mats):
         overlap += a * _hadamard_complex(prep_adj @ m @ v, shots, rng)
     numerator = abs(overlap) ** 2
-    if not normalized:
-        return float(1.0 - numerator)
     denom = 0.0
     v_adj = v.conj().T
     for ai, mi in zip(alphas, mats):
@@ -263,7 +236,7 @@ class VqlsResult:
 def solve(problem: VqlsProblem, ansatz: AnsatzSpec | None = None,
           optimizer: str = "cobyla", seed: int = 0, restarts: int = 5,
           max_iters: int = 2000, estimator: str = "analytic",
-          shots: int | None = None, normalized: bool = True,
+          shots: int | None = None,
           cost_tol: float = DEFAULT_COST_TOL) -> VqlsResult:
     """Minimize the cost over theta with seeded random restarts.
 
@@ -277,7 +250,7 @@ def solve(problem: VqlsProblem, ansatz: AnsatzSpec | None = None,
 
     def objective(theta):
         return cost(problem, theta, ansatz=ansatz, estimator=estimator,
-                    shots=shots, rng=shot_rng, normalized=normalized)
+                    shots=shots, rng=shot_rng)
 
     best = None
     trace: list[float] = []
@@ -302,13 +275,13 @@ def solve(problem: VqlsProblem, ansatz: AnsatzSpec | None = None,
     chosen = raw_state
     real_candidate = realign_to_real(raw_state)
     if real_candidate is not None:
-        raw_cost = _cost_from_state(problem, raw_state, normalized)
-        real_cost = _cost_from_state(problem, real_candidate, normalized)
+        raw_cost = _cost_from_state(problem, raw_state)
+        real_cost = _cost_from_state(problem, real_candidate)
         if real_cost <= raw_cost + 1e-12:
             chosen = real_candidate
     w_state = canonical_phase(chosen)
     w, scale, sign = rescale(problem, w_state)
-    final_cost = _cost_from_state(problem, w_state, normalized)
+    final_cost = _cost_from_state(problem, w_state)
     b = problem.b_state * problem.b_norm
     residual = float(np.linalg.norm(problem.a_used @ w - b)) / problem.b_norm
     return VqlsResult(theta=theta_best, w_state=w_state, w=w, scale=scale,

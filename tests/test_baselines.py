@@ -3,20 +3,18 @@ import os
 import numpy as np
 import pytest
 
-from qforecast import baselines
 from qforecast.baselines import (
     LinearModel,
     MlpModel,
     fit_linear,
-    load_mlp,
     mlp_backward,
     mlp_forward,
     mlp_loss_gradient,
     mlp_predict,
     mlp_train,
     mse,
-    save_mlp,
 )
+from qforecast.modelfile import load_any_model, save_model
 
 
 def synthetic_windows(seed, n=54, m=12):
@@ -285,8 +283,9 @@ class TestPersistence:
         trained, _ = mlp_train(model, *synthetic_windows(9, n=20, m=5),
                                epochs=30)
         path = str(tmp_path / "net.txt")
-        save_mlp(trained, path)
-        loaded = load_mlp(path)
+        save_model(trained, path)
+        kind, loaded = load_any_model(path)
+        assert kind == "mlp"
         np.testing.assert_array_equal(loaded.w1, trained.w1)
         np.testing.assert_array_equal(loaded.b1, trained.b1)
         np.testing.assert_array_equal(loaded.w2, trained.w2)
@@ -297,61 +296,90 @@ class TestPersistence:
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1.0\n2.0\n")
-        with pytest.raises(ValueError, match="header"):
-            load_mlp(str(path))
+        with pytest.raises(ValueError, match="first line"):
+            load_any_model(str(path))
 
     def test_truncated_file(self, tmp_path):
         model = MlpModel.initialized(num_inputs=3, hidden=2, seed=0)
         path = str(tmp_path / "net.txt")
-        save_mlp(model, path)
+        save_model(model, path)
         with open(path) as fh:
             lines = fh.readlines()
         with open(path, "w") as fh:
-            fh.writelines(lines[:-2])
-        with pytest.raises(ValueError, match="expected"):
-            load_mlp(path)
+            fh.writelines(lines[:-1])
+        with pytest.raises(ValueError, match="b3 .* expects 1 values, found 0"):
+            load_any_model(path)
 
     def test_non_numeric_value(self, tmp_path):
         model = MlpModel.initialized(num_inputs=2, hidden=2, seed=0)
         path = str(tmp_path / "net.txt")
-        save_mlp(model, path)
+        save_model(model, path)
         with open(path) as fh:
             content = fh.read()
         with open(path, "w") as fh:
             fh.write(content.replace("0.0", "zero", 1))
-        with pytest.raises(ValueError):
-            load_mlp(path)
+        with pytest.raises(ValueError, match="non-numeric"):
+            load_any_model(path)
 
     def test_no_leftover_tmp_file(self, tmp_path):
         model = MlpModel.initialized(num_inputs=2, hidden=2, seed=0)
         path = str(tmp_path / "net.txt")
-        save_mlp(model, path)
+        save_model(model, path)
         assert os.listdir(tmp_path) == ["net.txt"]
+
+    def test_old_format_rejected(self, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_text("mlp 1 1 1\n" + "0.5\n" * 6)
+        with pytest.raises(ValueError, match="first line 'mlp 1 1 1'") as err:
+            load_any_model(str(path))
+        assert str(path) in str(err.value)
+
+    def test_input_width_must_match_window(self, tmp_path):
+        model = MlpModel.initialized(num_inputs=2, hidden=2, seed=0)
+        path = tmp_path / "net.txt"
+        save_model(model, path)
+        text = path.read_text().replace("qforecast-model mlp 2", "qforecast-model mlp 3")
+        path.write_text(text)
+        with pytest.raises(ValueError, match="do not fit window 3") as err:
+            load_any_model(path)
+        assert str(path) in str(err.value)
 
 
 class TestLinearPersistence:
     def test_roundtrip_exact(self, tmp_path):
         model = LinearModel(np.array([0.1, -2.5e-7, 3.0, 1.0 / 3.0]))
         path = str(tmp_path / "weights.txt")
-        baselines.save_linear(model, path)
-        loaded = baselines.load_linear(path)
+        save_model(model, path)
+        kind, loaded = load_any_model(path)
+        assert kind == "linear"
         np.testing.assert_array_equal(loaded.weights, model.weights)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0.5\n0.25\n")
-        with pytest.raises(ValueError, match="header"):
-            baselines.load_linear(str(path))
+        with pytest.raises(ValueError, match="first line"):
+            load_any_model(str(path))
 
     def test_count_mismatch(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("linear 3\n0.5\n0.25\n")
-        with pytest.raises(ValueError, match="expected 3"):
-            baselines.load_linear(str(path))
+        path.write_text("qforecast-model linear 3\nweights 3\n0.5\n0.25\n")
+        with pytest.raises(ValueError, match="expects 3 values, found 2") as err:
+            load_any_model(str(path))
+        assert str(path) in str(err.value)
 
     def test_mlp_file_rejected(self, tmp_path):
+        # an MLP's arrays under a linear header
         model = MlpModel.initialized(num_inputs=2, hidden=2, seed=0)
-        path = str(tmp_path / "net.txt")
-        save_mlp(model, path)
-        with pytest.raises(ValueError):
-            baselines.load_linear(path)
+        path = tmp_path / "net.txt"
+        save_model(model, path)
+        text = path.read_text().replace("model mlp", "model linear")
+        path.write_text(text)
+        with pytest.raises(ValueError, match="not an array header of a linear"):
+            load_any_model(str(path))
+
+    def test_old_format_rejected(self, tmp_path):
+        path = tmp_path / "weights.txt"
+        path.write_text("linear 2\n0.5\n0.25\n")
+        with pytest.raises(ValueError, match="first line 'linear 2'") as err:
+            load_any_model(str(path))
+        assert str(path) in str(err.value)

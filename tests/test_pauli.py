@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qforecast.pauli import (PauliDecomposition, PauliString, SIGMA, base4_digits,
-                             decompose, pauli_matrix, prune, reconstruct)
+                             decompose, pauli_matrix, reconstruct)
 
 
 def random_hermitian(rng, dim):
@@ -142,30 +142,24 @@ class TestReconstructAndPrune:
         assert np.allclose(reconstruct(d), 0.5 * pauli_matrix("XI"), atol=1e-14)
 
     def test_prune_removes_small_terms(self):
-        d = PauliDecomposition(1, ((1.0, PauliString.from_label("X")),
-                                   (1e-15, PauliString.from_label("Z"))))
-        p = prune(d, 1e-12)
-        assert [s.label for _, s in p.terms] == ["X"]
+        m = pauli_matrix("X") + 1e-15 * pauli_matrix("Z")
+        d = decompose(m, prune_tol=1e-12)
+        assert [s.label for _, s in d.terms] == ["X"]
 
     def test_prune_zero_epsilon_keeps_all(self):
-        d = PauliDecomposition(1, ((1.0, PauliString.from_label("X")),
-                                   (1e-15, PauliString.from_label("Z"))))
-        assert prune(d, 0.0).terms == d.terms
+        m = pauli_matrix("X") + 1e-15 * pauli_matrix("Z")
+        d = decompose(m, prune_tol=0.0)
+        assert [s.label for _, s in d.terms] == ["I", "X", "Y", "Z"]
+        assert d.coefficient("Z") == 1e-15
 
     def test_prune_error_bounded_by_epsilon(self):
         rng = np.random.default_rng(3)
         m = random_hermitian(rng, 4)
-        d = decompose(m)
         eps = 0.05
-        removed = [a for a, _ in d.terms if abs(a) < eps]
-        err = np.max(np.abs(reconstruct(prune(d, eps)) - m))
+        removed = [a for a, _ in decompose(m, prune_tol=0.0).terms if abs(a) < eps]
+        err = np.max(np.abs(reconstruct(decompose(m, prune_tol=eps)) - m))
         # each dropped term contributes at most |alpha| in operator norm
         assert err <= sum(abs(a) for a in removed) + 1e-12
-
-    def test_prune_rejects_negative_epsilon(self):
-        d = decompose(np.eye(2))
-        with pytest.raises(ValueError):
-            prune(d, -1.0)
 
     def test_mismatched_term_length_rejected(self):
         with pytest.raises(ValueError):

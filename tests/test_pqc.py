@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from qforecast import qsim
-from qforecast.pqc import (PqcModel, TrainConfig, feature_map, gradient, load_model,
-                           loss, model_circuit, predict, predict_batch, save_model,
-                           train)
+from qforecast.modelfile import load_any_model
+from qforecast.pqc import (PqcModel, TrainConfig, feature_map, gradient, loss,
+                           model_circuit, predict, predict_batch, save_model, train)
 
 
 def small_model(num_qubits=4, seed=0, **kw):
@@ -20,7 +20,6 @@ class TestModelConstruction:
         m = PqcModel.initialized()
         assert m.num_qubits == 12
         assert m.theta.shape == (48,)
-        assert m.observable == "ZIIIIIIIIIII"
 
     def test_seeded_init_range_and_determinism(self):
         a = PqcModel.initialized(seed=7)
@@ -34,11 +33,6 @@ class TestModelConstruction:
         with pytest.raises(ValueError):
             PqcModel(theta=np.zeros(10), num_qubits=12)
 
-    def test_rejects_bad_observable(self):
-        with pytest.raises(ValueError):
-            PqcModel(theta=np.zeros(16), num_qubits=4, observable="QZII")
-
-
 class TestFeatureMap:
     def test_zero_window_gives_zero_state(self):
         state = qsim.run_circuit(feature_map(np.zeros(4)))
@@ -49,11 +43,6 @@ class TestFeatureMap:
         assert len(c.gates) == 3
         assert all(g.name == "ry" for g in c.gates)
         assert [g.qubits[0] for g in c.gates] == [0, 1, 2]
-
-    def test_scale_multiplies_angles(self):
-        a = qsim.run_circuit(feature_map([0.2, -0.4], feature_scale=2.0))
-        b = qsim.run_circuit(feature_map([0.4, -0.8]))
-        assert np.allclose(a.amplitudes, b.amplitudes, atol=1e-12)
 
     def test_locality_of_feature_changes(self):
         # changing feature i only composes an extra RY rotation on qubit i
@@ -224,26 +213,50 @@ class TestTrain:
 
 class TestPersistence:
     def test_round_trip_exact(self, tmp_path):
-        m = PqcModel.initialized(seed=11, feature_scale=1.5)
+        m = small_model(seed=11)
         path = tmp_path / "model.txt"
         save_model(m, path)
-        back = load_model(path)
+        kind, back = load_any_model(path)
+        assert kind == "pqc"
         assert np.array_equal(back.theta, m.theta)
         assert back.num_qubits == m.num_qubits
-        assert back.feature_scale == m.feature_scale
-        assert back.observable == m.observable
 
     def test_loaded_model_predicts_identically(self, tmp_path):
         rng = np.random.default_rng(10)
         m = small_model(seed=12)
         path = tmp_path / "model.txt"
         save_model(m, path)
-        back = load_model(path)
+        _, back = load_any_model(path)
         w = rng.uniform(-0.25, 0.25, size=4)
         assert predict(back, w) == predict(m, w)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "broken.txt"
         path.write_text("0.1\n0.2\n")
-        with pytest.raises(ValueError):
-            load_model(path)
+        with pytest.raises(ValueError, match="first line"):
+            load_any_model(path)
+
+    @pytest.mark.parametrize("text, fragment", [
+        ("qforecast-model\ntheta 4\n", "first line"),
+        ("1\n2\n3\n4\nqforecast-model pqc 1\ntheta 4\n", "first line '1'"),
+        ("num_qubits 1\nobservable Z\nfeature_scale 1.0\n1\n2\n3\n4\n",
+         "first line 'num_qubits 1'"),
+        ("qforecast-model circuit 1\ntheta 4\n", "unknown model kind"),
+        ("qforecast-model pqc one\ntheta 4\n", "not a count"),
+        ("qforecast-model pqc 1\n", "missing array"),
+        ("qforecast-model pqc 1\ntheta 4\n1\n2\n3\n4\ntheta 4\n",
+         "appears twice"),
+        ("qforecast-model pqc 1\nphi 4\n", "not an array header"),
+        ("qforecast-model pqc 1\ntheta four\n", "bad dims"),
+        ("qforecast-model pqc 1\ntheta 4\n1\n2\n3\n", "expects 4 values, found 3"),
+        ("qforecast-model pqc 1\ntheta 3\n1\n2\n3\n4\n", "not an array header"),
+        ("qforecast-model pqc 1\ntheta 4\n1\nnan?\n3\n4\n", "non-numeric"),
+        ("qforecast-model pqc 1\ntheta 4\n1\nnan\n3\n-inf\n", "non-finite"),
+        ("qforecast-model pqc 2\ntheta 4\n1\n2\n3\n4\n", "theta has shape"),
+    ])
+    def test_malformed_file_error_names_path(self, tmp_path, text, fragment):
+        path = tmp_path / "model.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=fragment) as err:
+            load_any_model(path)
+        assert str(err.value).startswith(str(path) + ": ")

@@ -7,8 +7,7 @@ import pytest
 
 from qforecast import qsim
 from qforecast.qsim import (Circuit, Gate, Statevector, apply_gate, circuit_unitary,
-                            controlled, expectation, hadamard_test, inner_product,
-                            prepare_state, run_circuit, swap_test)
+                            expectation, hadamard_test, prepare_state, run_circuit)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -260,26 +259,6 @@ class TestExpectation:
             expectation(Statevector.zero(2), "Z")
 
 
-class TestInnerProduct:
-    def test_orthogonal(self):
-        a = Statevector.basis_state(2, 0)
-        b = Statevector.basis_state(2, 3)
-        assert inner_product(a, b) == 0
-
-    def test_self_is_one(self):
-        rng = np.random.default_rng(3)
-        s = random_state(rng, 3)
-        assert inner_product(s, s) == pytest.approx(1.0, abs=1e-12)
-
-    def test_conjugate_on_first_argument(self):
-        a = Statevector(np.array([1, 1j]) / math.sqrt(2))
-        b = Statevector.zero(1)
-        assert inner_product(a, b) == pytest.approx(1 / math.sqrt(2))
-        assert inner_product(b, a) == pytest.approx(1 / math.sqrt(2))
-        c = Statevector.basis_state(1, 1)
-        assert inner_product(a, c) == pytest.approx(-1j / math.sqrt(2))
-
-
 class TestPrepareState:
     def test_basis_vector_gives_identity(self):
         u = prepare_state(np.array([1.0, 0.0, 0.0, 0.0]))
@@ -309,27 +288,6 @@ class TestPrepareState:
         v = np.array([-1.0, 0.0])
         u = prepare_state(v)
         assert np.allclose(u[:, 0], v, atol=1e-12)
-
-
-class TestControlled:
-    def test_controlled_x_is_cnot(self):
-        assert np.allclose(controlled(X), CNOT_01, atol=1e-14)
-
-    def test_controlled_identity(self):
-        assert np.allclose(controlled(I2), np.eye(4), atol=1e-14)
-
-    def test_blocks(self):
-        rng = np.random.default_rng(2)
-        u = random_unitary(rng, 4)
-        cu = controlled(u)
-        assert np.allclose(cu[:4, :4], np.eye(4), atol=1e-14)
-        assert np.allclose(cu[4:, 4:], u, atol=1e-14)
-        assert np.max(np.abs(cu[:4, 4:])) == 0
-        assert qsim.is_unitary(cu)
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError):
-            controlled(np.array([[1, 0], [0, 2]]))
 
 
 class TestHadamardTest:
@@ -382,34 +340,3 @@ class TestHadamardTest:
             hadamard_test(X, part="modulus")
         with pytest.raises(ValueError):
             hadamard_test(X, shots=0)
-
-
-class TestSwapTest:
-    def test_identical_states(self):
-        rng = np.random.default_rng(9)
-        s = random_state(rng, 2)
-        assert swap_test(s, s) == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal_states(self):
-        a = Statevector.basis_state(2, 1)
-        b = Statevector.basis_state(2, 2)
-        assert swap_test(a, b) == pytest.approx(0.0, abs=1e-12)
-
-    def test_zero_and_plus(self):
-        zero = Statevector.zero(1)
-        plus = apply_gate(zero, Gate("h", (0,)))
-        assert swap_test(zero, plus) == pytest.approx(0.5, abs=1e-12)
-
-    def test_matches_overlap_squared(self):
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            k = int(rng.integers(1, 4))
-            a, b = random_state(rng, k), random_state(rng, k)
-            want = abs(inner_product(a, b)) ** 2
-            assert swap_test(a, b) == pytest.approx(want, abs=1e-10)
-
-    def test_sampled_mode(self):
-        zero = Statevector.zero(1)
-        plus = apply_gate(zero, Gate("h", (0,)))
-        got = swap_test(zero, plus, shots=200_000, rng=1)
-        assert abs(got - 0.5) < 0.01

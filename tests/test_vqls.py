@@ -9,7 +9,7 @@ from qforecast import vqls
 from qforecast.linsys import build_windows, fit_scaler, normal_equations, predict_next
 from qforecast.qsim import circuit_unitary
 from qforecast.vqls import (AnsatzSpec, VqlsProblem, ansatz_circuit, ansatz_state,
-                            canonical_phase, cost, overlap_term, realign_to_real,
+                            canonical_phase, cost, realign_to_real,
                             rescale, solve)
 
 
@@ -120,29 +120,6 @@ class TestVqlsProblem:
         assert len(loose.decomposition) < len(tight.decomposition)
 
 
-class TestOverlapTerm:
-    def test_identity_term_at_zero_theta(self):
-        p = VqlsProblem.from_system(np.eye(2), np.array([1.0, 1.0]))
-        got = overlap_term(p, 0, np.zeros(4))
-        assert got == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-
-    def test_analytic_matches_exact_hadamard(self):
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            a, b = easy_spd(rng)
-            p = VqlsProblem.from_system(a, b)
-            theta = rng.uniform(0, 2 * math.pi, size=8)
-            for i in range(len(p.decomposition)):
-                analytic = overlap_term(p, i, theta)
-                exact = overlap_term(p, i, theta, estimator="hadamard")
-                assert abs(analytic - exact) <= 1e-10
-
-    def test_rejects_bad_index(self):
-        p = VqlsProblem.from_system(np.eye(2), np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            overlap_term(p, 5, np.zeros(4))
-
-
 class TestCost:
     def test_zero_at_exact_solution_direction(self):
         # A = diag(1, 2), b ~ (1, 1): solution direction (2, 1)/sqrt(5)
@@ -172,8 +149,6 @@ class TestCost:
             theta = rng.uniform(0, 2 * math.pi, size=8)
             assert cost(p, theta) == pytest.approx(
                 cost(p, theta, estimator="hadamard"), abs=1e-10)
-            assert cost(p, theta, normalized=False) == pytest.approx(
-                cost(p, theta, estimator="hadamard", normalized=False), abs=1e-10)
 
     def test_sampled_hadamard_near_exact(self):
         p = VqlsProblem.from_system(np.diag([1.0, 2.0]), np.array([1.0, 1.0]))
@@ -192,14 +167,6 @@ class TestCost:
         for phi in (0.3, 1.2, math.pi):
             assert vqls._cost_from_state(p, np.exp(1j * phi) * x) == pytest.approx(
                 base, abs=1e-12)
-
-    def test_unnormalized_form_differs_at_solution(self):
-        # the unnormalized cost is far from zero at the true solution
-        # direction (its minimum sits elsewhere), unlike the normalized form
-        p = VqlsProblem.from_system(np.diag([1.0, 2.0]), np.array([1.0, 1.0]))
-        theta = np.array([2 * math.atan2(1.0, 2.0), 0.0, 0.0, 0.0])
-        assert abs(cost(p, theta, normalized=False)) > 0.1
-        assert cost(p, theta) == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_unknown_estimator(self):
         p = VqlsProblem.from_system(np.eye(2), np.array([1.0, 0.0]))
