@@ -8,7 +8,7 @@ minimize_derivative_free builds a linear interpolation model on a simplex
 of n+1 points and takes trust-region steps, shrinking the radius when the
 model stops predicting actual decrease (the classic linear-approximation
 trust-region scheme). minimize_quasi_newton is a limited-memory BFGS with
-Armijo backtracking and optional box bounds handled by projection.
+Armijo backtracking.
 """
 
 from __future__ import annotations
@@ -19,17 +19,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+INITIAL_STEP = 0.5
+STEP_TOL = 1e-8          # quasi-Newton step-size stop
+F_TOL = 1e-10            # quasi-Newton objective-delta stop
+TRUST_RADIUS_END = 1e-6  # derivative-free radius stop
+GRAD_TOL = 1e-8          # quasi-Newton gradient stop
+HISTORY = 10             # L-BFGS memory
+
+
 @dataclass
 class OptimOptions:
+    """The budget: iterations, and optionally objective evaluations."""
+
     max_iters: int = 1000
     max_evals: int | None = None
-    initial_step: float = 0.5
-    step_tol: float = 1e-8          # quasi-Newton step-size stop
-    f_tol: float = 1e-10            # quasi-Newton objective-delta stop
-    trust_radius_end: float = 1e-6  # derivative-free radius stop
-    grad_tol: float = 1e-8          # quasi-Newton gradient stop
-    history: int = 10               # L-BFGS memory
-    bounds: tuple | None = None     # (lower, upper) arrays or None
 
 
 @dataclass
@@ -101,8 +104,7 @@ def minimize_derivative_free(fun, x0, options: OptimOptions | None = None,
     if n == 0:
         raise ValueError("empty start point")
     rec = _Recorder(fun, opts.max_evals)
-    rho = opts.initial_step
-    rho_end = opts.trust_radius_end
+    rho = INITIAL_STEP
     try:
         _check_start(x0, rec)
         sim = np.tile(x0, (n + 1, 1))
@@ -114,7 +116,7 @@ def minimize_derivative_free(fun, x0, options: OptimOptions | None = None,
         order = np.argsort(fs, kind="stable")
         sim, fs = sim[order], fs[order]
         for _ in range(opts.max_iters):
-            if rho <= rho_end:
+            if rho <= TRUST_RADIUS_END:
                 return rec.result(True, "trust radius below tolerance")
             diffs = sim[1:] - sim[0]
             dvals = fs[1:] - fs[0]
@@ -151,13 +153,6 @@ def minimize_derivative_free(fun, x0, options: OptimOptions | None = None,
         return rec.result(False, "evaluation budget exhausted")
 
 
-def _project(x, bounds):
-    if bounds is None:
-        return np.array(x, dtype=float)
-    lo, hi = bounds
-    return np.clip(x, lo, hi)
-
-
 def _two_loop(grad, s_list, y_list):
     q = grad.copy()
     alphas = []
@@ -178,9 +173,9 @@ def _two_loop(grad, s_list, y_list):
 
 def minimize_quasi_newton(fun, x0, grad, options: OptimOptions | None = None,
                           ) -> OptimResult:
-    """Limited-memory BFGS with Armijo backtracking and box projection."""
+    """Limited-memory BFGS with Armijo backtracking."""
     opts = options or OptimOptions()
-    x = _project(np.array(x0, dtype=float), opts.bounds)
+    x = np.array(x0, dtype=float)
     if x.size == 0:
         raise ValueError("empty start point")
     rec = _Recorder(fun, opts.max_evals)
@@ -199,12 +194,11 @@ def minimize_quasi_newton(fun, x0, grad, options: OptimOptions | None = None,
                 if curvature > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
                     s_list.append(s)
                     y_list.append(y)
-                    if len(s_list) > opts.history:
+                    if len(s_list) > HISTORY:
                         s_list.pop(0)
                         y_list.pop(0)
             g = g_new
-            projected_grad = x - _project(x - g, opts.bounds)
-            if float(np.max(np.abs(projected_grad))) <= opts.grad_tol:
+            if float(np.max(np.abs(g))) <= GRAD_TOL:
                 return rec.result(True, "gradient below tolerance")
             direction = -_two_loop(g, s_list, y_list)
             if float(direction @ g) > -1e-14 * np.linalg.norm(direction) * \
@@ -214,10 +208,10 @@ def minimize_quasi_newton(fun, x0, grad, options: OptimOptions | None = None,
                 alpha = 1.0
             else:
                 dnorm = float(np.linalg.norm(direction))
-                alpha = min(1.0, opts.initial_step / max(dnorm, 1e-15))
+                alpha = min(1.0, INITIAL_STEP / max(dnorm, 1e-15))
             accepted = False
             for _ in range(50):
-                trial = _project(x + alpha * direction, opts.bounds)
+                trial = x + alpha * direction
                 step = trial - x
                 if float(np.max(np.abs(step))) == 0.0:
                     break
@@ -231,9 +225,9 @@ def minimize_quasi_newton(fun, x0, grad, options: OptimOptions | None = None,
             s = trial - x
             delta = f - f_trial
             x, f = trial, f_trial
-            if delta <= opts.f_tol * max(1.0, abs(f)):
+            if delta <= F_TOL * max(1.0, abs(f)):
                 return rec.result(True, "objective delta below tolerance")
-            if float(np.linalg.norm(s)) <= opts.step_tol:
+            if float(np.linalg.norm(s)) <= STEP_TOL:
                 return rec.result(True, "step size below tolerance")
         return rec.result(False, "iteration limit reached")
     except _BudgetExhausted:

@@ -36,6 +36,7 @@ DEFAULT_WINDOW = 12
 VQLS_WINDOW = 4
 
 KINDS = ("linear", "mlp", "pqc", "vqls")
+OPTIMIZERS = ("cobyla", "lbfgs")
 
 
 def subseed(seed: int, *names: str) -> int:
@@ -49,9 +50,13 @@ def subseed(seed: int, *names: str) -> int:
 class ModelSpec:
     """What to fit: a model kind plus its knobs.
 
-    window 0 and max_iters 0 mean the kind's default (window 12, except 4
-    for the variational solver whose matrix dimension must stay a power of
-    two; 300 evaluations for the circuit model, 2000 otherwise).
+    window 0 and max_iters 0 mean the kind's default. The window is 12,
+    except 4 for the variational solver, whose window is its matrix
+    dimension and must be a power of two from 2 to 64. max_iters is the
+    optimizer's iteration cap for the circuit model (default 300; one
+    iteration may take several loss evaluations), the objective-evaluation
+    cap per restart for the variational solver (default 2000), and the
+    epoch count for the MLP (default 2000). optimizer is cobyla or lbfgs.
     """
 
     kind: str
@@ -73,6 +78,12 @@ class ModelSpec:
                 VQLS_WINDOW if self.kind == "vqls" else DEFAULT_WINDOW)
         if self.window < 1:
             raise ValueError("window must be positive")
+        if self.kind == "vqls" and self.window not in (2, 4, 8, 16, 32, 64):
+            raise ValueError("vqls window must be a power of two from 2 to 64, "
+                             "got %d" % self.window)
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError("optimizer must be one of %s, got %r"
+                             % (", ".join(OPTIMIZERS), self.optimizer))
         if self.max_iters == 0:
             defaults = {"pqc": 300, "vqls": 2000, "mlp": 2000, "linear": 0}
             object.__setattr__(self, "max_iters", defaults[self.kind])

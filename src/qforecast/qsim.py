@@ -4,8 +4,8 @@ Conventions:
     * Qubit 0 is the leftmost tensor factor, i.e. the most significant bit
       of the basis index: |q0 q1 ... q_{k-1}>.
     * States are complex128 and unit norm; operations return new states.
-    * Single-qubit gates and CNOT go through the in-place numpy kernels
-      of qforecast.backend; multi-qubit dense unitaries use numpy.
+    * Gates are h, x, rx, ry, rz and cnot. Each goes through one of the two
+      in-place numpy kernels of qforecast.backend.
 """
 
 from __future__ import annotations
@@ -16,18 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import backend
+from . import backend, pauli
 
 ATOL = 1e-10
 NORM_ATOL = 1e-8
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _SDG = np.array([[1, 0], [0, -1j]], dtype=complex)
-
-_PAULI_BY_LABEL = {"I": np.eye(2, dtype=complex), "X": _X, "Y": _Y, "Z": _Z}
 
 
 def _rx(theta: float) -> np.ndarray:
@@ -45,7 +40,7 @@ def _rz(theta: float) -> np.ndarray:
                      [0, cmath.exp(0.5j * theta)]], dtype=complex)
 
 
-_FIXED_1Q = {"h": _H, "x": _X, "sdg": _SDG}
+_FIXED_1Q = {"h": _H, "x": pauli.SIGMA[1]}
 _ROTATIONS = {"rx": _rx, "ry": _ry, "rz": _rz}
 
 
@@ -92,51 +87,43 @@ class Statevector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
 
 @dataclass(frozen=True)
 class Gate:
-    """One gate application: a name, target qubits, and parameters.
+    """One gate application: a name, target qubits, and an angle.
 
-    Names: h, x, sdg, rx, ry, rz, cnot, unitary. Rotations carry `angle`;
-    `unitary` carries a square `matrix` over the listed qubits, whose first
-    listed qubit is the most significant within the gate.
+    Names: h, x, rx, ry, rz on one qubit, and cnot on (control, target).
+    Rotations carry `angle`. A single-qubit gate builds its read-only 2x2
+    `matrix` once, at construction; a cnot has none.
     """
 
     name: str
     qubits: tuple[int, ...]
     angle: float | None = None
-    matrix: np.ndarray | None = None
+    matrix: np.ndarray | None = field(init=False, default=None, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"repeated qubit in {self.qubits}")
+        if self.name == "cnot":
+            if len(self.qubits) != 2:
+                raise ValueError("cnot takes (control, target)")
+            return
         if self.name in _FIXED_1Q:
             if len(self.qubits) != 1 or self.angle is not None:
                 raise ValueError(f"{self.name} takes one qubit and no angle")
+            matrix = _FIXED_1Q[self.name].copy()
         elif self.name in _ROTATIONS:
             if len(self.qubits) != 1 or self.angle is None:
                 raise ValueError(f"{self.name} takes one qubit and an angle")
             object.__setattr__(self, "angle", float(self.angle))
-        elif self.name == "cnot":
-            if len(self.qubits) != 2:
-                raise ValueError("cnot takes (control, target)")
-        elif self.name == "unitary":
-            if self.matrix is None:
-                raise ValueError("unitary gate needs a matrix")
-            mat = np.array(self.matrix, dtype=complex)
-            if mat.shape != (1 << len(self.qubits),) * 2:
-                raise ValueError(f"matrix shape {mat.shape} does not match "
-                                 f"{len(self.qubits)} qubit(s)")
-            if not is_unitary(mat):
-                raise ValueError("matrix is not unitary within 1e-10")
-            mat.setflags(write=False)
-            object.__setattr__(self, "matrix", mat)
+            matrix = _ROTATIONS[self.name](self.angle)
         else:
             raise ValueError(f"unknown gate {self.name!r}")
+        matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
 
 
 class Circuit:
@@ -160,9 +147,6 @@ class Circuit:
     def x(self, qubit: int) -> None:
         self.add(Gate("x", (qubit,)))
 
-    def sdg(self, qubit: int) -> None:
-        self.add(Gate("sdg", (qubit,)))
-
     def rx(self, qubit: int, angle: float) -> None:
         self.add(Gate("rx", (qubit,), angle=angle))
 
@@ -175,52 +159,14 @@ class Circuit:
     def cnot(self, control: int, target: int) -> None:
         self.add(Gate("cnot", (control, target)))
 
-    def unitary(self, matrix: np.ndarray, qubits) -> None:
-        self.add(Gate("unitary", tuple(qubits), matrix=matrix))
-
-
-def _gate_matrix_1q(gate: Gate) -> np.ndarray:
-    if gate.name in _FIXED_1Q:
-        return _FIXED_1Q[gate.name]
-    return _ROTATIONS[gate.name](gate.angle)
-
-
-def _apply_dense(buf: np.ndarray, num_qubits: int, qubits: tuple[int, ...],
-                 matrix: np.ndarray) -> None:
-    """Apply a dense 2**t x 2**t matrix to `qubits` of the buffer, in place."""
-    t = len(qubits)
-    view = buf.reshape((2,) * num_qubits)
-    moved = np.moveaxis(view, qubits, range(t))
-    shape = moved.shape
-    flat = moved.reshape(1 << t, -1)
-    out = matrix @ flat
-    view[...] = np.moveaxis(out.reshape(shape), range(t), qubits)
-
 
 def _apply_gate_inplace(buf: np.ndarray, num_qubits: int, gate: Gate) -> None:
-    for q in gate.qubits:
-        if not 0 <= q < num_qubits:
-            raise ValueError(f"qubit {q} out of range for {num_qubits} qubits")
     if gate.name == "cnot":
         backend.apply_cnot(buf, num_qubits, gate.qubits[0], gate.qubits[1])
-    elif gate.name == "unitary":
-        if len(gate.qubits) == 1:
-            m = gate.matrix
-            backend.apply_single_qubit(buf, num_qubits, gate.qubits[0],
-                                       m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-        else:
-            _apply_dense(buf, num_qubits, gate.qubits, gate.matrix)
     else:
-        m = _gate_matrix_1q(gate)
+        m = gate.matrix
         backend.apply_single_qubit(buf, num_qubits, gate.qubits[0],
                                    m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-
-
-def apply_gate(state: Statevector, gate: Gate) -> Statevector:
-    """Return gate applied to state, leaving the input untouched."""
-    buf = np.array(state.amplitudes, dtype=complex)
-    _apply_gate_inplace(buf, state.num_qubits, gate)
-    return Statevector(buf)
 
 
 def run_circuit(circuit: Circuit, initial: Statevector | None = None) -> Statevector:
@@ -248,30 +194,16 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     return mat
 
 
-def _pauli_digits(observable, num_qubits: int) -> tuple[int, ...]:
-    if isinstance(observable, str):
-        try:
-            digits = tuple("IXYZ".index(ch) for ch in observable)
-        except ValueError:
-            raise ValueError(f"bad Pauli label {observable!r}") from None
-    elif hasattr(observable, "digits"):
-        digits = tuple(observable.digits)
-    else:
-        digits = tuple(int(d) for d in observable)
-        if any(not 0 <= d <= 3 for d in digits):
-            raise ValueError(f"Pauli digits must be 0..3, got {digits}")
-    if len(digits) != num_qubits:
-        raise ValueError(f"observable length {len(digits)} != {num_qubits} qubits")
-    return digits
-
-
-def expectation(state: Statevector, observable) -> float:
-    """<state| P |state> for a Pauli string given as label, digits, or object."""
-    digits = _pauli_digits(observable, state.num_qubits)
+def expectation(state: Statevector, label: str) -> float:
+    """<state| P |state> for the Pauli string with the given label, e.g. "ZI"."""
+    digits = pauli.PauliString.from_label(label).digits
+    if len(digits) != state.num_qubits:
+        raise ValueError(f"label {label!r} has {len(digits)} qubits, "
+                         f"state has {state.num_qubits}")
     buf = np.array(state.amplitudes, dtype=complex)
     for qubit, d in enumerate(digits):
         if d:
-            m = _PAULI_BY_LABEL["IXYZ"[d]]
+            m = pauli.SIGMA[d]
             backend.apply_single_qubit(buf, state.num_qubits, qubit,
                                        m[0, 0], m[0, 1], m[1, 0], m[1, 1])
     value = np.vdot(state.amplitudes, buf)

@@ -8,6 +8,7 @@ import pytest
 from qforecast.datagen import GeneratorConfig, generate, trending_series
 from qforecast.linsys import read_series_csv
 from qforecast.pipeline import (
+    KINDS,
     ModelSpec,
     default_specs,
     roll_predictions,
@@ -61,6 +62,17 @@ class TestModelSpec:
     def test_negative_window(self):
         with pytest.raises(ValueError):
             ModelSpec(kind="linear", window=-3)
+
+    def test_bad_vqls_window_or_optimizer_fails_at_construction(self):
+        # checked in the spec, so run_pipeline fails before any model trains
+        for window in (1, 3, 6, 128):
+            with pytest.raises(ValueError, match="power of two"):
+                ModelSpec(kind="vqls", window=window)
+        for kind in KINDS:
+            with pytest.raises(ValueError, match="optimizer"):
+                ModelSpec(kind=kind, optimizer="adam")
+        assert ModelSpec(kind="vqls", window=64).window == 64
+        assert ModelSpec(kind="pqc", optimizer="lbfgs").optimizer == "lbfgs"
 
     def test_default_specs_cover_all_kinds(self):
         kinds = [s.kind for s in default_specs()]

@@ -51,7 +51,9 @@ class TestFeatureMap:
         x2 = x.copy()
         x2[2] += 0.3
         base = qsim.run_circuit(feature_map(x))
-        moved = qsim.apply_gate(base, qsim.Gate("ry", (2,), angle=0.3))
+        circuit = qsim.Circuit(4)
+        circuit.ry(2, 0.3)
+        moved = qsim.run_circuit(circuit, initial=base)
         direct = qsim.run_circuit(feature_map(x2))
         assert np.allclose(moved.amplitudes, direct.amplitudes, atol=1e-12)
 
