@@ -91,6 +91,9 @@ class MlpModel:
     def num_inputs(self) -> int:
         return self.w1.shape[1]
 
+    def predict(self, features: np.ndarray) -> np.ndarray:
+        return mlp_predict(self, features)
+
     @classmethod
     def initialized(cls, num_inputs: int = 12, hidden: int = HIDDEN_UNITS,
                     seed: int | None = None) -> "MlpModel":

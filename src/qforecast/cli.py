@@ -13,7 +13,7 @@ from datetime import date
 
 import numpy as np
 
-from . import baselines, pauli, pqc, vqls
+from . import baselines, optimize, pauli, vqls
 from .datagen import GeneratorConfig, generate
 from .linsys import (
     add_months,
@@ -26,14 +26,8 @@ from .linsys import (
     write_trace_csv,
 )
 from .modelfile import fields, load_any_model, save_model
-from .pipeline import (
-    DEFAULT_SPLIT,
-    KINDS,
-    ModelSpec,
-    roll_predictions,
-    run_pipeline,
-    subseed,
-)
+from .pipeline import (DEFAULT_SPLIT, ModelSpec, fit, roll_predictions,
+                       run_pipeline)
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -96,14 +90,6 @@ def read_vector_csv(path: str) -> np.ndarray:
     return np.array(values)
 
 
-def _model_predictor(kind: str, model):
-    if kind == "linear":
-        return model.predict
-    if kind == "mlp":
-        return lambda X: baselines.mlp_predict(model, X)
-    return lambda X: pqc.predict_batch(model, X)
-
-
 def cmd_generate(args) -> int:
     config = GeneratorConfig(start=args.start, num_months=args.months,
                              base=args.base, trend=args.trend,
@@ -126,50 +112,39 @@ def cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
-def cmd_train_pqc(args) -> int:
+def _train(args, spec: ModelSpec) -> int:
+    """Fit spec on the input's pre-split windows through pipeline.fit, then
+    save the model and its trace and print a summary for the kind."""
     series = read_series_csv(args.input, value_column=args.value_column)
-    windows, train_rows = preprocess(series, args.split).windows(args.window)
+    windows, train_rows = preprocess(series, args.split).windows(spec.window)
     X, y = windows.X[train_rows], windows.y[train_rows]
-    init = pqc.PqcModel.initialized(num_qubits=args.window,
-                                    seed=subseed(args.seed, "pqc", "init"))
-    config = pqc.TrainConfig(optimizer=args.optimizer,
-                             max_iters=args.max_iters)
-    trained, result = pqc.train(init, X, y, config)
-    save_model(trained, args.model_out)
-    if args.trace_out:
-        write_trace_csv(args.trace_out, result.trace, "loss")
+    model, trace, extras = fit(spec, X, y, args.seed)
+    save_model(model, args.model_out)
+    if args.trace_out and trace:
+        write_trace_csv(args.trace_out, trace, "loss")
     print("trained on %d windows" % X.shape[0])
-    print("loss %r -> %r in %d evaluations"
-          % (result.trace[0], result.fun, result.evaluations))
-    print("converged %s" % result.converged)
+    if spec.kind == "pqc":
+        print("loss %r -> %r in %d evaluations"
+              % (trace[0], extras["final_loss"], extras["evaluations"]))
+        print("converged %s" % extras["converged"])
+    elif spec.kind == "mlp":
+        print("loss %r -> %r over %d epochs"
+              % (trace[0], baselines.mse(model.predict(X), y), len(trace)))
+    else:
+        print("training mse %r" % baselines.mse(model.predict(X), y))
     print("saved model to %s" % args.model_out)
     return EXIT_OK
+
+
+def cmd_train_pqc(args) -> int:
+    return _train(args, ModelSpec("pqc", window=args.window,
+                                  optimizer=args.optimizer,
+                                  max_iters=args.max_iters))
 
 
 def cmd_train_baseline(args) -> int:
-    series = read_series_csv(args.input, value_column=args.value_column)
-    windows, train_rows = preprocess(series, args.split).windows(args.window)
-    X, y = windows.X[train_rows], windows.y[train_rows]
-    if args.kind == "linear":
-        model = baselines.fit_linear(X, y)
-        save_model(model, args.model_out)
-        train_mse = baselines.mse(model.predict(X), y)
-        print("trained on %d windows" % X.shape[0])
-        print("training mse %r" % train_mse)
-    else:
-        init = baselines.MlpModel.initialized(
-            num_inputs=args.window, seed=subseed(args.seed, "mlp", "init"))
-        model, trace = baselines.mlp_train(
-            init, X, y, learning_rate=args.learning_rate, epochs=args.epochs)
-        save_model(model, args.model_out)
-        if args.trace_out:
-            write_trace_csv(args.trace_out, trace, "loss")
-        print("trained on %d windows" % X.shape[0])
-        print("loss %r -> %r over %d epochs"
-              % (trace[0], baselines.mse(baselines.mlp_predict(model, X), y),
-                 len(trace)))
-    print("saved model to %s" % args.model_out)
-    return EXIT_OK
+    return _train(args, ModelSpec(args.kind, window=args.window,
+                                  max_iters=args.epochs))
 
 
 def cmd_solve_vqls(args) -> int:
@@ -204,13 +179,12 @@ def cmd_decompose(args) -> int:
 def _forecast_with_model(args) -> int:
     kind, model = load_any_model(args.model)
     window = fields(model)[1]
-    predictor = _model_predictor(kind, model)
     series = read_series_csv(args.input, value_column=args.value_column)
     # the scaler is refit on the pre-split data, so pass the same series
     # and split the model was trained with
     prep = preprocess(series, args.split)
     windows, train_rows = prep.windows(window)
-    preds = np.asarray(predictor(windows.X), dtype=float)
+    preds = model.predict(windows.X)
     if args.out:
         dates, actual, predicted = prep.to_units(preds, window)
         write_predictions_csv(args.out, dates, actual, predicted)
@@ -222,7 +196,7 @@ def _forecast_with_model(args) -> int:
     if test.any():
         print("test mse %.5f" % baselines.mse(preds[test], windows.y[test]))
     if args.horizon:
-        future_scaled = roll_predictions(predictor, prep.scaled.values,
+        future_scaled = roll_predictions(model.predict, prep.scaled.values,
                                          window, args.horizon)
         future_values = series.values[-1] + np.cumsum(
             prep.scaler.invert(future_scaled))
@@ -234,19 +208,20 @@ def _forecast_with_model(args) -> int:
 
 def cmd_forecast(args) -> int:
     if args.model:
+        if args.out_dir:
+            raise ValueError("--out-dir is for the pipeline; with --model "
+                             "use --out")
         return _forecast_with_model(args)
-    series = read_series_csv(args.input, value_column=args.value_column)
+    if args.out or args.horizon:
+        raise ValueError("--out and --horizon need --model; the pipeline "
+                         "writes to --out-dir")
     kinds = [k.strip() for k in args.models.split(",") if k.strip()]
-    for kind in kinds:
-        if kind not in KINDS:
-            raise ValueError("unknown model kind %r (choose from %s)"
-                             % (kind, ", ".join(KINDS)))
-    specs = []
-    for kind in kinds:
-        overrides = {"pqc": args.pqc_iters, "vqls": args.vqls_iters,
-                     "mlp": args.mlp_epochs}.get(kind, 0)
-        specs.append(ModelSpec(kind=kind, max_iters=overrides or 0,
-                               restarts=args.vqls_restarts))
+    specs = [ModelSpec(kind=kind, restarts=args.vqls_restarts,
+                       max_iters={"pqc": args.pqc_iters,
+                                  "vqls": args.vqls_iters,
+                                  "mlp": args.mlp_epochs}.get(kind, 0))
+             for kind in kinds]
+    series = read_series_csv(args.input, value_column=args.value_column)
     run = run_pipeline(series, specs=specs, split_date=args.split,
                        seed=args.seed, out_dir=args.out_dir)
     print(run.table())
@@ -321,8 +296,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trace-out", default=None)
     p.add_argument("--window", type=int, default=12)
     p.add_argument("--split", type=_iso_date, default=DEFAULT_SPLIT)
-    p.add_argument("--optimizer", choices=("cobyla", "lbfgs"),
-                   default="cobyla")
+    p.add_argument("--optimizer", choices=optimize.METHODS, default="cobyla")
     p.add_argument("--max-iters", type=int, default=300)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--value-column", default=None)
@@ -337,7 +311,6 @@ def build_parser() -> _Parser:
     p.add_argument("--window", type=int, default=12)
     p.add_argument("--split", type=_iso_date, default=DEFAULT_SPLIT)
     p.add_argument("--epochs", type=int, default=2000)
-    p.add_argument("--learning-rate", type=float, default=0.01)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--value-column", default=None)
     p.set_defaults(func=cmd_train_baseline)
@@ -347,8 +320,7 @@ def build_parser() -> _Parser:
     p.add_argument("--matrix", required=True,
                    help="comma-separated rows, no header")
     p.add_argument("--rhs", required=True, help="one value per line")
-    p.add_argument("--optimizer", choices=("cobyla", "lbfgs"),
-                   default="cobyla")
+    p.add_argument("--optimizer", choices=optimize.METHODS, default="cobyla")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=5)
     p.add_argument("--max-iters", type=int, default=2000)

@@ -8,7 +8,7 @@ minimize_derivative_free builds a linear interpolation model on a simplex
 of n+1 points and takes trust-region steps, shrinking the radius when the
 model stops predicting actual decrease (the classic linear-approximation
 trust-region scheme). minimize_quasi_newton is a limited-memory BFGS with
-Armijo backtracking.
+Armijo backtracking. minimize picks one of them by name.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ TRUST_RADIUS_END = 1e-6  # derivative-free radius stop
 GRAD_TOL = 1e-8          # quasi-Newton gradient stop
 HISTORY = 10             # L-BFGS memory
 
+METHODS = ("cobyla", "lbfgs")
+
 
 @dataclass
 class OptimOptions:
@@ -33,6 +35,13 @@ class OptimOptions:
 
     max_iters: int = 1000
     max_evals: int | None = None
+
+    def __post_init__(self):
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be at least 0, got {self.max_iters}")
+        # the start point is always evaluated, so a budget of 0 has no result
+        if self.max_evals is not None and self.max_evals < 1:
+            raise ValueError(f"max_evals must be at least 1, got {self.max_evals}")
 
 
 @dataclass
@@ -232,3 +241,15 @@ def minimize_quasi_newton(fun, x0, grad, options: OptimOptions | None = None,
         return rec.result(False, "iteration limit reached")
     except _BudgetExhausted:
         return rec.result(False, "evaluation budget exhausted")
+
+
+def minimize(method: str, fun, x0, grad, options: OptimOptions | None = None,
+             ) -> OptimResult:
+    """Minimize by the named method: cobyla is minimize_derivative_free,
+    which ignores grad; lbfgs is minimize_quasi_newton."""
+    if method == "cobyla":
+        return minimize_derivative_free(fun, x0, options)
+    if method == "lbfgs":
+        return minimize_quasi_newton(fun, x0, grad, options)
+    raise ValueError(f"optimizer must be one of {', '.join(METHODS)}, "
+                     f"got {method!r}")

@@ -17,7 +17,7 @@ from datetime import date
 
 import numpy as np
 
-from . import baselines, pqc, vqls
+from . import baselines, optimize, pqc, vqls
 from .linsys import (
     Scaler,
     TimeSeries,
@@ -36,7 +36,6 @@ DEFAULT_WINDOW = 12
 VQLS_WINDOW = 4
 
 KINDS = ("linear", "mlp", "pqc", "vqls")
-OPTIMIZERS = ("cobyla", "lbfgs")
 
 
 def subseed(seed: int, *names: str) -> int:
@@ -50,13 +49,15 @@ def subseed(seed: int, *names: str) -> int:
 class ModelSpec:
     """What to fit: a model kind plus its knobs.
 
-    window 0 and max_iters 0 mean the kind's default. The window is 12,
-    except 4 for the variational solver, whose window is its matrix
-    dimension and must be a power of two from 2 to 64. max_iters is the
-    optimizer's iteration cap for the circuit model (default 300; one
-    iteration may take several loss evaluations), the objective-evaluation
-    cap per restart for the variational solver (default 2000), and the
-    epoch count for the MLP (default 2000). optimizer is cobyla or lbfgs.
+    window 0 and max_iters 0 mean the kind's default; negative values, and
+    restarts below 1, are rejected. The window is 12, except 4 for the
+    variational solver, whose window is its matrix dimension and must be a
+    power of two from 2 to 64. max_iters is the optimizer's iteration cap
+    for the circuit model (default 300; one iteration may take several loss
+    evaluations), the objective-evaluation cap per restart for the
+    variational solver (default 2000), and the epoch count for the MLP
+    (default 2000). optimizer is one of optimize.METHODS. restarts is the
+    variational solver's number of random starts.
     """
 
     kind: str
@@ -68,8 +69,8 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError("kind must be one of %s, got %r"
-                             % (", ".join(KINDS), self.kind))
+            raise ValueError("unknown model kind %r (choose from %s)"
+                             % (self.kind, ", ".join(KINDS)))
         if not self.name:
             object.__setattr__(self, "name", self.kind)
         if self.window == 0:
@@ -81,9 +82,15 @@ class ModelSpec:
         if self.kind == "vqls" and self.window not in (2, 4, 8, 16, 32, 64):
             raise ValueError("vqls window must be a power of two from 2 to 64, "
                              "got %d" % self.window)
-        if self.optimizer not in OPTIMIZERS:
+        if self.optimizer not in optimize.METHODS:
             raise ValueError("optimizer must be one of %s, got %r"
-                             % (", ".join(OPTIMIZERS), self.optimizer))
+                             % (", ".join(optimize.METHODS), self.optimizer))
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be at least 0 (0 means the "
+                             "default), got %d" % self.max_iters)
+        if self.restarts < 1:
+            raise ValueError("restarts must be at least 1, got %d"
+                             % self.restarts)
         if self.max_iters == 0:
             defaults = {"pqc": 300, "vqls": 2000, "mlp": 2000, "linear": 0}
             object.__setattr__(self, "max_iters", defaults[self.kind])
@@ -142,53 +149,56 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _fit_and_predict(spec: ModelSpec, train: WindowSystem, full_X: np.ndarray,
-                     seed: int):
-    """Returns (scaled predictions over all rows, trace, extras)."""
+def fit(spec: ModelSpec, X: np.ndarray, y: np.ndarray, seed: int):
+    """Train spec's model on windows X and labels y.
+
+    Returns (model, trace, extras); every model has predict(X). The
+    pipeline and the train commands both fit here, so a seed gives the same
+    model from either: initial weights come from subseed(seed, spec.name,
+    "init"), the solver's restarts from subseed(seed, spec.name, "solver").
+    """
     if spec.kind == "linear":
-        model = baselines.fit_linear(train.X, train.y)
-        return model.predict(full_X), (), {}
+        return baselines.fit_linear(X, y), (), {}
 
     if spec.kind == "mlp":
         init = baselines.MlpModel.initialized(
             num_inputs=spec.window, seed=subseed(seed, spec.name, "init"))
-        trained, trace = baselines.mlp_train(init, train.X, train.y,
-                                             epochs=spec.max_iters)
-        return (baselines.mlp_predict(trained, full_X), tuple(trace),
-                {"evaluations": len(trace), "model": trained})
+        model, trace = baselines.mlp_train(init, X, y, epochs=spec.max_iters)
+        return model, tuple(trace), {"evaluations": len(trace), "model": model}
 
     if spec.kind == "pqc":
         init = pqc.PqcModel.initialized(
             num_qubits=spec.window, seed=subseed(seed, spec.name, "init"))
         config = pqc.TrainConfig(optimizer=spec.optimizer,
                                  max_iters=spec.max_iters)
-        trained, result = pqc.train(init, train.X, train.y, config)
-        return (pqc.predict_batch(trained, full_X), tuple(result.trace),
-                {"converged": result.converged,
-                 "evaluations": result.evaluations,
-                 "final_loss": result.fun, "model": trained})
+        model, result = pqc.train(init, X, y, config)
+        return model, tuple(result.trace), {
+            "converged": result.converged, "evaluations": result.evaluations,
+            "final_loss": result.fun, "model": model}
 
-    system = normal_equations(train)
+    system = normal_equations(WindowSystem(X=X, y=y, window=spec.window))
     problem = vqls.VqlsProblem.from_system(system.A, system.b)
     result = vqls.solve(problem, optimizer=spec.optimizer,
                         seed=subseed(seed, spec.name, "solver"),
                         restarts=spec.restarts, max_iters=spec.max_iters)
     # the solution is realigned toward the real axis; for these real
     # symmetric systems the leftover imaginary part is numerical noise
-    weights = np.asarray(result.w).real
-    return (full_X @ weights, tuple(result.cost_trace),
-            {"condition_number": condition_number(system.A),
-             "final_cost": result.final_cost,
-             "residual": result.residual,
-             "converged": result.converged,
-             "evaluations": result.evaluations,
-             "weights": weights})
+    model = baselines.LinearModel(np.asarray(result.w).real)
+    return model, tuple(result.cost_trace), {
+        "condition_number": condition_number(system.A),
+        "final_cost": result.final_cost,
+        "residual": result.residual,
+        "converged": result.converged,
+        "evaluations": result.evaluations,
+        "weights": model.weights}
 
 
 def run_pipeline(series: TimeSeries, specs=None,
                  split_date: date = DEFAULT_SPLIT, seed: int = 0,
                  out_dir: str | None = None) -> RunReport:
     specs = tuple(specs) if specs is not None else default_specs()
+    if not specs:
+        raise ValueError("no models to fit: the spec list is empty")
     if len({s.name for s in specs}) != len(specs):
         raise ValueError("model names must be unique")
 
@@ -199,9 +209,9 @@ def run_pipeline(series: TimeSeries, specs=None,
         if train_rows.all():
             raise ValueError("split %s leaves no test data for window %d"
                              % (split_date, spec.window))
-        train = WindowSystem(X=windows.X[train_rows],
-                             y=windows.y[train_rows], window=spec.window)
-        preds, trace, extras = _fit_and_predict(spec, train, windows.X, seed)
+        model, trace, extras = fit(spec, windows.X[train_rows],
+                                   windows.y[train_rows], seed)
+        preds = model.predict(windows.X)
         train_mse = baselines.mse(preds[train_rows], windows.y[train_rows])
         test_mse = baselines.mse(preds[~train_rows], windows.y[~train_rows])
         dates, actual, predicted = prep.to_units(preds, spec.window)
@@ -226,7 +236,7 @@ def roll_predictions(predict_fn, values, window: int,
     """Feed each prediction back in to forecast `horizon` steps ahead.
 
     predict_fn maps a (1, window) array to a length-1 array of predictions,
-    matching the batch-prediction interface of every model here.
+    as every model's predict does.
     """
     values = np.asarray(values, dtype=float)
     if horizon < 1:

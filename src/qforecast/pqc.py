@@ -53,6 +53,9 @@ class PqcModel:
     def with_theta(self, theta) -> "PqcModel":
         return replace(self, theta=np.asarray(theta, dtype=float))
 
+    def predict(self, windows) -> np.ndarray:
+        return predict_batch(self, windows)
+
 
 def feature_map(window) -> qsim.Circuit:
     """Angle encoding: RY(x_i) on qubit i."""
@@ -154,18 +157,13 @@ def train(model: PqcModel, windows, labels, config: TrainConfig | None = None,
     def objective(theta):
         return loss(model.with_theta(theta), windows, labels)
 
+    def grad(theta):
+        return gradient(model.with_theta(theta), windows, labels)
+
     options = optimize.OptimOptions(max_iters=config.max_iters,
                                     max_evals=config.max_evals)
-    if config.optimizer == "cobyla":
-        result = optimize.minimize_derivative_free(objective, model.theta, options)
-    elif config.optimizer == "lbfgs":
-        def grad(theta):
-            return gradient(model.with_theta(theta), windows, labels)
-        result = optimize.minimize_quasi_newton(objective, model.theta, grad,
-                                                options)
-    else:
-        raise ValueError(f"optimizer must be 'cobyla' or 'lbfgs', "
-                         f"got {config.optimizer!r}")
+    result = optimize.minimize(config.optimizer, objective, model.theta, grad,
+                               options)
     return model.with_theta(result.x), result
 
 

@@ -252,20 +252,14 @@ def solve(problem: VqlsProblem, ansatz: AnsatzSpec | None = None,
         return cost(problem, theta, ansatz=ansatz, estimator=estimator,
                     shots=shots, rng=shot_rng)
 
+    grad = lambda t: optimize.finite_diff_gradient(objective, t)
+    options = optimize.OptimOptions(max_iters=max_iters, max_evals=max_iters)
     best = None
     trace: list[float] = []
     evaluations = 0
     for _ in range(max(restarts, 1)):
         theta0 = rng.uniform(0.0, 2.0 * math.pi, size=ansatz.num_parameters)
-        options = optimize.OptimOptions(max_iters=max_iters, max_evals=max_iters)
-        if optimizer == "cobyla":
-            res = optimize.minimize_derivative_free(objective, theta0, options)
-        elif optimizer == "lbfgs":
-            grad = lambda t: optimize.finite_diff_gradient(objective, t)
-            res = optimize.minimize_quasi_newton(objective, theta0, grad, options)
-        else:
-            raise ValueError(f"optimizer must be 'cobyla' or 'lbfgs', "
-                             f"got {optimizer!r}")
+        res = optimize.minimize(optimizer, objective, theta0, grad, options)
         trace.extend(res.trace)
         evaluations += res.evaluations
         if best is None or res.fun < best.fun:

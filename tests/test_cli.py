@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qforecast import baselines, pqc
+from qforecast.modelfile import save_model
 from qforecast.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NOT_CONVERGED,
@@ -15,7 +16,8 @@ from qforecast.cli import (
     read_vector_csv,
 )
 from qforecast.datagen import trending_series
-from qforecast.linsys import read_series_csv, write_series_csv
+from qforecast.linsys import preprocess, read_series_csv, write_series_csv
+from qforecast.pipeline import ModelSpec, fit
 
 SPLIT = "2021-09-01"
 
@@ -179,6 +181,37 @@ class TestTrainPqc:
             assert fh.readline().strip() == "iteration,loss"
 
 
+class TestOneFitPath:
+    """The train commands fit through pipeline.fit with the same sub-seeds."""
+
+    @pytest.mark.parametrize("argv, spec", [
+        (["train-pqc", "--window", "4", "--max-iters", "30"],
+         ModelSpec("pqc", window=4, max_iters=30)),
+        (["train-baseline", "--kind", "mlp", "--epochs", "40"],
+         ModelSpec("mlp", max_iters=40)),
+        (["train-baseline", "--kind", "linear"], ModelSpec("linear")),
+    ], ids=["pqc", "mlp", "linear"])
+    def test_model_file_equals_fit(self, sales_csv, tmp_path, argv, spec):
+        cli_path, fit_path = str(tmp_path / "cli.txt"), str(tmp_path / "fit.txt")
+        assert main([argv[0], sales_csv, *argv[1:], "--seed", "3",
+                     "--split", SPLIT, "--model-out", cli_path]) == EXIT_OK
+        windows, rows = preprocess(read_series_csv(sales_csv),
+                                   date.fromisoformat(SPLIT)).windows(spec.window)
+        save_model(fit(spec, windows.X[rows], windows.y[rows], 3)[0], fit_path)
+        with open(cli_path, "rb") as a, open(fit_path, "rb") as b:
+            assert a.read() == b.read()
+
+    def test_negative_budget_rejected_before_training(self, sales_csv,
+                                                      tmp_path, capsys):
+        model_path = str(tmp_path / "m.txt")
+        for argv in (["train-pqc", "--window", "4", "--max-iters", "-1"],
+                     ["train-baseline", "--kind", "mlp", "--epochs", "-3"]):
+            assert main([argv[0], sales_csv, *argv[1:], "--split", SPLIT,
+                         "--model-out", model_path]) == EXIT_INPUT_ERROR
+            assert "max_iters must be at least 0" in capsys.readouterr().err
+            assert not os.path.exists(model_path)
+
+
 class TestSolveVqls:
     def test_solves_small_system(self, tmp_path, capsys):
         a_path, b_path = spd_system(tmp_path)
@@ -203,6 +236,13 @@ class TestSolveVqls:
                      "--restarts", "1", "--max-iters", "3"])
         assert code == EXIT_NOT_CONVERGED
         assert "converged False" in capsys.readouterr().out
+
+    def test_zero_budget_names_the_value(self, tmp_path, capsys):
+        a_path, b_path = spd_system(tmp_path)
+        code = main(["solve-vqls", "--matrix", a_path, "--rhs", b_path,
+                     "--max-iters", "0"])
+        assert code == EXIT_INPUT_ERROR
+        assert "max_evals must be at least 1, got 0" in capsys.readouterr().err
 
     def test_non_square_matrix(self, tmp_path, capsys):
         a_path = str(tmp_path / "A.csv")
@@ -254,6 +294,27 @@ class TestForecastPipeline:
                      "--split", SPLIT]) == EXIT_INPUT_ERROR
         assert "unknown model kind" in capsys.readouterr().err
 
+    def test_bad_model_list_or_restarts_rejected(self, sales_csv, capsys):
+        for argv, message in ((["--models", ""], "spec list is empty"),
+                              (["--models", " , "], "spec list is empty"),
+                              (["--models", "linear", "--vqls-restarts", "0"],
+                               "restarts must be at least 1, got 0")):
+            assert main(["forecast", sales_csv, "--split", SPLIT,
+                         *argv]) == EXIT_INPUT_ERROR
+            out, err = capsys.readouterr()
+            assert message in err
+            assert out == ""
+
+    def test_saved_model_flags_need_model(self, sales_csv, tmp_path, capsys):
+        out_path = str(tmp_path / "x.csv")
+        for argv in (["--out", out_path], ["--horizon", "3"]):
+            assert main(["forecast", sales_csv, "--models", "linear",
+                         "--split", SPLIT, *argv]) == EXIT_INPUT_ERROR
+            out, err = capsys.readouterr()
+            assert "need --model" in err
+            assert out == ""
+        assert not os.path.exists(out_path)
+
 
 class TestForecastSavedModel:
     def test_horizon_prints_future_months(self, trend_csv, tmp_path,
@@ -272,6 +333,20 @@ class TestForecastSavedModel:
         # trend of 50/month continues exactly
         assert float(future[0].split()[1]) == pytest.approx(
             5000.0 + 50.0 * 48, abs=0.01)
+
+    def test_out_dir_rejected(self, trend_csv, tmp_path, capsys):
+        model_path = str(tmp_path / "lin.txt")
+        main(["train-baseline", trend_csv, "--kind", "linear",
+              "--model-out", model_path, "--split", SPLIT])
+        capsys.readouterr()
+        out_dir = str(tmp_path / "run")
+        assert main(["forecast", trend_csv, "--model", model_path,
+                     "--out-dir", out_dir, "--split", SPLIT]) \
+            == EXIT_INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert "--out-dir is for the pipeline" in err
+        assert out == ""
+        assert not os.path.exists(out_dir)
 
     def test_unrecognized_model_file(self, trend_csv, tmp_path, capsys):
         bogus = str(tmp_path / "model.txt")

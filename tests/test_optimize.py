@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from qforecast.optimize import (OptimOptions, finite_diff_gradient,
-                                minimize_derivative_free, minimize_quasi_newton)
+from qforecast.optimize import (METHODS, OptimOptions, finite_diff_gradient,
+                                minimize, minimize_derivative_free,
+                                minimize_quasi_newton)
 
 
 def quad1(x):
@@ -160,6 +161,35 @@ class TestQuasiNewton:
         grad = lambda x: finite_diff_gradient(ellipse, x)
         res = minimize_quasi_newton(ellipse, [2.0, -1.0], grad)
         assert np.linalg.norm(res.x) <= 1e-3
+
+
+class TestMinimize:
+    def test_method_names_pick_the_minimizer(self):
+        options = OptimOptions(max_iters=30)
+        picked = {"cobyla": minimize_derivative_free(ellipse, [3.0, 4.0], options),
+                  "lbfgs": minimize_quasi_newton(ellipse, [3.0, 4.0],
+                                                 ellipse_grad, options)}
+        assert tuple(picked) == METHODS
+        for method, want in picked.items():
+            got = minimize(method, ellipse, [3.0, 4.0], ellipse_grad, options)
+            assert got.trace == want.trace
+            assert np.array_equal(got.x, want.x)
+        with pytest.raises(ValueError, match="optimizer must be one of "
+                                             "cobyla, lbfgs, got 'adam'"):
+            minimize("adam", ellipse, [3.0, 4.0], ellipse_grad, options)
+
+    def test_bad_budget_rejected_naming_the_value(self):
+        # with no evaluation allowed there is no best point to return
+        with pytest.raises(ValueError, match="max_iters must be at least 0, got -1"):
+            OptimOptions(max_iters=-1)
+        for evals in (0, -5):
+            with pytest.raises(ValueError,
+                               match="max_evals must be at least 1, got %d" % evals):
+                OptimOptions(max_evals=evals)
+        assert minimize_derivative_free(ellipse, [3.0, 4.0],
+                                        OptimOptions(max_evals=1)).evaluations == 1
+        assert minimize_quasi_newton(ellipse, [3.0, 4.0], ellipse_grad,
+                                     OptimOptions(max_iters=0)).evaluations == 1
 
 
 class TestFiniteDiff:

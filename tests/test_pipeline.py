@@ -5,12 +5,14 @@ from datetime import date
 import numpy as np
 import pytest
 
+from qforecast import baselines, pqc
 from qforecast.datagen import GeneratorConfig, generate, trending_series
-from qforecast.linsys import read_series_csv
+from qforecast.linsys import preprocess, read_series_csv
 from qforecast.pipeline import (
     KINDS,
     ModelSpec,
     default_specs,
+    fit,
     roll_predictions,
     run_pipeline,
     subseed,
@@ -56,7 +58,8 @@ class TestModelSpec:
         assert ModelSpec(kind="mlp", name="net").name == "net"
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown model kind 'svm' "
+                                             r"\(choose from linear, mlp, pqc, vqls\)"):
             ModelSpec(kind="svm")
 
     def test_negative_window(self):
@@ -73,6 +76,16 @@ class TestModelSpec:
                 ModelSpec(kind=kind, optimizer="adam")
         assert ModelSpec(kind="vqls", window=64).window == 64
         assert ModelSpec(kind="pqc", optimizer="lbfgs").optimizer == "lbfgs"
+
+    def test_negative_budget_or_no_restarts_fails_at_construction(self):
+        # checked in the spec, so run_pipeline fails before any model trains
+        for kind in KINDS:
+            with pytest.raises(ValueError, match="max_iters must be at least 0"):
+                ModelSpec(kind=kind, max_iters=-1)
+            for restarts in (0, -2):
+                with pytest.raises(ValueError, match="restarts must be at least 1"):
+                    ModelSpec(kind=kind, restarts=restarts)
+        assert ModelSpec(kind="vqls", restarts=1).restarts == 1
 
     def test_default_specs_cover_all_kinds(self):
         kinds = [s.kind for s in default_specs()]
@@ -154,6 +167,10 @@ class TestRunPipelineErrors:
             run_pipeline(series, specs=[ModelSpec(kind="linear")],
                          split_date=date(2019, 6, 1))
 
+    def test_empty_spec_list_rejected(self):
+        with pytest.raises(ValueError, match="spec list is empty"):
+            run_pipeline(small_series(), specs=[])
+
     def test_duplicate_names_rejected(self):
         series = small_series()
         with pytest.raises(ValueError, match="unique"):
@@ -207,6 +224,37 @@ class TestRunPipelineModels:
         lin, vq = run.reports
         assert vq.extras["converged"]
         assert vq.train_mse == pytest.approx(lin.train_mse, abs=1e-3)
+
+
+class TestFit:
+    SPECS = (ModelSpec(kind="linear"),
+             ModelSpec(kind="mlp", max_iters=30),
+             ModelSpec(kind="pqc", window=4, max_iters=20),
+             ModelSpec(kind="vqls", max_iters=200, restarts=1))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=KINDS)
+    def test_run_pipeline_predicts_with_the_fitted_model(self, spec):
+        series = small_series()
+        report = run_pipeline(series, specs=[spec], split_date=SPLIT,
+                              seed=2).reports[0]
+        prep = preprocess(series, SPLIT)
+        windows, rows = prep.windows(spec.window)
+        model, trace, _ = fit(spec, windows.X[rows], windows.y[rows], 2)
+        preds = model.predict(windows.X)
+        np.testing.assert_array_equal(
+            prep.to_units(preds, spec.window)[2], report.predictions.values)
+        assert report.train_mse == baselines.mse(preds[rows], windows.y[rows])
+        assert report.trace == trace
+        if spec.kind == "mlp":
+            np.testing.assert_array_equal(
+                preds, baselines.mlp_predict(model, windows.X))
+        if spec.kind == "pqc":
+            np.testing.assert_array_equal(
+                preds, pqc.predict_batch(model, windows.X))
+        if spec.kind == "vqls":
+            assert isinstance(model, baselines.LinearModel)
+            np.testing.assert_array_equal(report.extras["weights"],
+                                          model.weights)
 
 
 class TestRunReportText:

@@ -212,6 +212,11 @@ class TestTrain:
             train(small_model(), np.zeros((1, 4)), [0.0],
                   TrainConfig(optimizer="sgd"))
 
+    def test_zero_evaluation_budget_names_the_value(self):
+        with pytest.raises(ValueError, match="max_evals must be at least 1, got 0"):
+            train(small_model(), np.zeros((1, 4)), [0.0],
+                  TrainConfig(max_evals=0))
+
 
 class TestPersistence:
     def test_round_trip_exact(self, tmp_path):
