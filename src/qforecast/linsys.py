@@ -135,8 +135,9 @@ def solve_classical(system: NormalSystem) -> np.ndarray:
 
 
 def condition_number(matrix: np.ndarray) -> float:
-    """Ratio of extreme singular values; +inf for numerically singular input."""
-    sigma = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
+    """Ratio of extreme singular values of a real or complex matrix; +inf
+    for numerically singular input."""
+    sigma = np.linalg.svd(np.asarray(matrix), compute_uv=False)
     if sigma[-1] <= SINGULAR_FLOOR:
         return math.inf
     return float(sigma[0] / sigma[-1])

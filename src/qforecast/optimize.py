@@ -2,7 +2,9 @@
 
 Both optimizers are deterministic, record every objective evaluation, and
 return the best point seen rather than the last iterate. Gradient calls are
-not counted as objective evaluations.
+not counted as objective evaluations. Both stop the same way, from inside
+the objective, when the evaluation budget is spent or an evaluation reaches
+the target.
 
 minimize_derivative_free builds a linear interpolation model on a simplex
 of n+1 points and takes trust-region steps, shrinking the radius when the
@@ -31,10 +33,15 @@ METHODS = ("cobyla", "lbfgs")
 
 @dataclass
 class OptimOptions:
-    """The budget: iterations, and optionally objective evaluations."""
+    """The budget: iterations, and optionally objective evaluations.
+
+    With a `target`, the run also ends, converged, at the first evaluation
+    whose value is at or below it.
+    """
 
     max_iters: int = 1000
     max_evals: int | None = None
+    target: float | None = None
 
     def __post_init__(self):
         if self.max_iters < 0:
@@ -54,23 +61,26 @@ class OptimResult:
     message: str = ""
 
 
-class _BudgetExhausted(Exception):
-    pass
+class _Stop(Exception):
+    """Raised from inside the objective to end the run; its args are the
+    result's (converged, message)."""
 
 
 class _Recorder:
-    """Wraps the objective: traces every call, tracks the best point."""
+    """Wraps the objective: traces every call, tracks the best point, and
+    stops the run when the budget is spent or the target is reached."""
 
-    def __init__(self, fun, max_evals):
+    def __init__(self, fun, options: OptimOptions):
         self._fun = fun
-        self._max = max_evals
+        self._max = options.max_evals
+        self._target = options.target
         self.trace: list[float] = []
         self.best_x: np.ndarray | None = None
         self.best_f = math.inf
 
     def __call__(self, x):
         if self._max is not None and len(self.trace) >= self._max:
-            raise _BudgetExhausted
+            raise _Stop(False, "evaluation budget exhausted")
         value = float(self._fun(np.asarray(x, dtype=float)))
         if math.isnan(value):
             value = math.inf
@@ -78,6 +88,8 @@ class _Recorder:
         if value < self.best_f:
             self.best_f = value
             self.best_x = np.array(x, dtype=float)
+        if self._target is not None and value <= self._target:
+            raise _Stop(True, "objective reached target")
         return value
 
     def result(self, converged, message=""):
@@ -112,7 +124,7 @@ def minimize_derivative_free(fun, x0, options: OptimOptions | None = None,
     n = x0.size
     if n == 0:
         raise ValueError("empty start point")
-    rec = _Recorder(fun, opts.max_evals)
+    rec = _Recorder(fun, opts)
     rho = INITIAL_STEP
     try:
         _check_start(x0, rec)
@@ -158,8 +170,8 @@ def minimize_derivative_free(fun, x0, options: OptimOptions | None = None,
             else:
                 rho *= 0.5
         return rec.result(False, "iteration limit reached")
-    except _BudgetExhausted:
-        return rec.result(False, "evaluation budget exhausted")
+    except _Stop as stop:
+        return rec.result(*stop.args)
 
 
 def _two_loop(grad, s_list, y_list):
@@ -187,7 +199,7 @@ def minimize_quasi_newton(fun, x0, grad, options: OptimOptions | None = None,
     x = np.array(x0, dtype=float)
     if x.size == 0:
         raise ValueError("empty start point")
-    rec = _Recorder(fun, opts.max_evals)
+    rec = _Recorder(fun, opts)
     try:
         f = _check_start(x, rec)
         g = s = None
@@ -239,8 +251,8 @@ def minimize_quasi_newton(fun, x0, grad, options: OptimOptions | None = None,
             if float(np.linalg.norm(s)) <= STEP_TOL:
                 return rec.result(True, "step size below tolerance")
         return rec.result(False, "iteration limit reached")
-    except _BudgetExhausted:
-        return rec.result(False, "evaluation budget exhausted")
+    except _Stop as stop:
+        return rec.result(*stop.args)
 
 
 def minimize(method: str, fun, x0, grad, options: OptimOptions | None = None,

@@ -137,8 +137,8 @@ class RunReport:
         lines = []
         for r in self.reports:
             parts = []
-            for key in ("condition_number", "final_cost", "residual",
-                        "converged", "evaluations"):
+            for key in ("condition_number", "final_cost", "error_bound",
+                        "stop_reason", "residual", "converged", "evaluations"):
                 if key in r.extras:
                     value = r.extras[key]
                     text = ("%.6g" % value if isinstance(value, float)
@@ -187,6 +187,8 @@ def fit(spec: ModelSpec, X: np.ndarray, y: np.ndarray, seed: int):
     return model, tuple(result.cost_trace), {
         "condition_number": condition_number(system.A),
         "final_cost": result.final_cost,
+        "error_bound": result.error_bound,
+        "stop_reason": result.stop_reason,
         "residual": result.residual,
         "converged": result.converged,
         "evaluations": result.evaluations,

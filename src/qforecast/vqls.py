@@ -13,6 +13,11 @@ estimators (exact or shot-sampled) over the retained Pauli terms.
 Solutions of real systems are snapped to a real representative after
 optimization when that does not hurt the cost: the global phase of
 |x(theta)> is arbitrary, and downstream forecasting needs real weights.
+
+The cost certifies the answer. With kappa the condition number of A, the
+trace distance between |x(theta)> and the normalized true solution is at
+most kappa * sqrt(C) (Bravo-Prieto et al., arXiv:1909.05820), so an exact
+solve stops as soon as C <= epsilon^2 / kappa^2.
 """
 
 from __future__ import annotations
@@ -23,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import optimize, pauli, qsim
+from . import linsys, optimize, pauli, qsim
 
 DEFAULT_COST_TOL = 1e-3
+DEFAULT_EPSILON = 1e-3
 
 
 def default_layers(num_qubits: int) -> int:
@@ -165,8 +171,8 @@ def cost(problem: VqlsProblem, theta, ansatz=None, estimator: str = "analytic",
     v_adj = v.conj().T
     for ai, mi in zip(alphas, mats):
         for aj, mj in zip(alphas, mats):
-            term = _hadamard_complex(v_adj @ mi @ mj @ v, shots, rng)
-            denom += ai * aj * term.real
+            denom += ai * aj * qsim.hadamard_test(v_adj @ mi @ mj @ v, part="real",
+                                                  shots=shots, rng=rng)
     if denom <= 1e-12:
         return 1.0
     return float(1.0 - numerator / denom)
@@ -231,19 +237,37 @@ class VqlsResult:
     residual: float
     converged: bool
     evaluations: int
+    condition_number: float  # of the retained terms' matrix
+    stop_reason: str         # the best restart's optimizer message
+
+    @property
+    def error_bound(self) -> float:
+        """Bound kappa * sqrt(final_cost) on the trace distance to the
+        normalized true solution."""
+        return self.condition_number * math.sqrt(max(self.final_cost, 0.0))
 
 
 def solve(problem: VqlsProblem, ansatz: AnsatzSpec | None = None,
           optimizer: str = "cobyla", seed: int = 0, restarts: int = 5,
           max_iters: int = 2000, estimator: str = "analytic",
           shots: int | None = None,
-          cost_tol: float = DEFAULT_COST_TOL) -> VqlsResult:
+          cost_tol: float = DEFAULT_COST_TOL,
+          epsilon: float = DEFAULT_EPSILON) -> VqlsResult:
     """Minimize the cost over theta with seeded random restarts.
 
     Returns the best restart's solution, snapped to a real representative
     when that is at least as good, with the classical rescale applied.
     The convergence flag reports final cost <= cost_tol.
+
+    When the cost is exact (no shots), epsilon > 0 and A is not singular,
+    a restart stops at the first cost <= epsilon^2 / kappa^2, which
+    certifies a trace distance of at most epsilon, and the remaining
+    restarts are skipped. epsilon=0 turns the stop off.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if not epsilon >= 0.0:
+        raise ValueError(f"epsilon must be at least 0, got {epsilon}")
     ansatz = ansatz or AnsatzSpec.default(problem.num_qubits)
     rng = np.random.default_rng(seed)
     shot_rng = np.random.default_rng(rng.integers(2 ** 63)) if shots else None
@@ -253,17 +277,24 @@ def solve(problem: VqlsProblem, ansatz: AnsatzSpec | None = None,
                     shots=shots, rng=shot_rng)
 
     grad = lambda t: optimize.finite_diff_gradient(objective, t)
-    options = optimize.OptimOptions(max_iters=max_iters, max_evals=max_iters)
+    kappa = linsys.condition_number(problem.a_used)
+    target = None
+    if shots is None and epsilon > 0.0 and math.isfinite(kappa):
+        target = epsilon ** 2 / kappa ** 2
+    options = optimize.OptimOptions(max_iters=max_iters, max_evals=max_iters,
+                                    target=target)
     best = None
     trace: list[float] = []
     evaluations = 0
-    for _ in range(max(restarts, 1)):
+    for _ in range(restarts):
         theta0 = rng.uniform(0.0, 2.0 * math.pi, size=ansatz.num_parameters)
         res = optimize.minimize(optimizer, objective, theta0, grad, options)
         trace.extend(res.trace)
         evaluations += res.evaluations
         if best is None or res.fun < best.fun:
             best = res
+        if target is not None and best.fun <= target:
+            break
     theta_best = np.asarray(best.x, dtype=float)
     raw_state = ansatz_state(ansatz, theta_best)
     chosen = raw_state
@@ -281,4 +312,5 @@ def solve(problem: VqlsProblem, ansatz: AnsatzSpec | None = None,
     return VqlsResult(theta=theta_best, w_state=w_state, w=w, scale=scale,
                       sign=sign, cost_trace=trace, final_cost=final_cost,
                       residual=residual, converged=bool(final_cost <= cost_tol),
-                      evaluations=evaluations)
+                      evaluations=evaluations, condition_number=kappa,
+                      stop_reason=best.message)

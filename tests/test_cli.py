@@ -237,6 +237,16 @@ class TestSolveVqls:
         assert code == EXIT_NOT_CONVERGED
         assert "converged False" in capsys.readouterr().out
 
+    def test_no_restarts_fails_before_any_solve(self, tmp_path, capsys):
+        a_path, b_path = spd_system(tmp_path)
+        for restarts in ("0", "-3"):
+            code = main(["solve-vqls", "--matrix", a_path, "--rhs", b_path,
+                         "--restarts", restarts])
+            assert code == EXIT_INPUT_ERROR
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "restarts must be at least 1, got %s" % restarts in err
+
     def test_zero_budget_names_the_value(self, tmp_path, capsys):
         a_path, b_path = spd_system(tmp_path)
         code = main(["solve-vqls", "--matrix", a_path, "--rhs", b_path,

@@ -168,6 +168,11 @@ class TestConditionNumber:
         assert condition_number(np.zeros((3, 3))) == math.inf
         assert condition_number(np.diag([1.0, 0.0])) == math.inf
 
+    def test_complex_hermitian(self):
+        # eigenvalues 1 and 3; the real part alone would be 2 * identity
+        h = np.array([[2.0, 1j], [-1j, 2.0]])
+        assert condition_number(h) == pytest.approx(3.0)
+
 
 class TestForecast:
     def test_predict_next_dot(self):

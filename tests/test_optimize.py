@@ -192,6 +192,54 @@ class TestMinimize:
                                      OptimOptions(max_iters=0)).evaluations == 1
 
 
+class TestTarget:
+    def test_stops_at_the_first_evaluation_at_or_below_target(self):
+        for fun, grad, x0, target in ((ellipse, ellipse_grad, [3.0, 4.0], 1.0),
+                                      (rosenbrock, rosenbrock_grad, [-1.2, 1.0], 5.0)):
+            for method in METHODS:
+                free = minimize(method, fun, x0, grad, OptimOptions(max_evals=500))
+                first = next(i for i, v in enumerate(free.trace) if v <= target)
+                got = minimize(method, fun, x0, grad,
+                               OptimOptions(max_evals=500, target=target))
+                assert got.trace == free.trace[:first + 1]
+                assert got.converged
+                assert got.message == "objective reached target"
+                assert got.fun == free.trace[first] <= target
+                assert got.fun == fun(got.x)
+
+    def test_target_met_at_the_start_point(self):
+        for method in METHODS:
+            got = minimize(method, ellipse, [0.1, 0.0], ellipse_grad,
+                           OptimOptions(target=0.5))
+            assert got.evaluations == 1
+            assert got.message == "objective reached target"
+
+    def test_unreached_target_changes_nothing(self):
+        rng = np.random.default_rng(5)
+        problems = []
+        for n in (1, 2, 3, 5, 8):
+            fun, grad, _ = random_quadratic(rng, n)
+            offset = float(rng.uniform(0.0, 100.0))
+            problems.append((lambda x, f=fun, o=offset: f(x) + o, grad,
+                             rng.normal(size=n)))
+        for x0 in ([-1.2, 1.0], [2.0, 2.0], [0.0, -1.5]):
+            problems.append((rosenbrock, rosenbrock_grad, x0))
+        for fun, grad, x0 in problems:
+            for method in METHODS:
+                for options in (OptimOptions(), OptimOptions(max_iters=40, max_evals=150)):
+                    free = minimize(method, fun, x0, grad, options)
+                    # just below the best value the run ever sees
+                    target = float(np.nextafter(free.fun, -np.inf))
+                    got = minimize(method, fun, x0, grad,
+                                   OptimOptions(options.max_iters, options.max_evals,
+                                                target=target))
+                    assert got.x.tobytes() == free.x.tobytes()
+                    assert got.fun == free.fun
+                    assert got.trace == free.trace
+                    assert (got.evaluations, got.converged, got.message) == \
+                        (free.evaluations, free.converged, free.message)
+
+
 class TestFiniteDiff:
     def test_quadratic_gradient(self):
         x = np.array([1.0, -2.0])

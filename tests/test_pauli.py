@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qforecast.pauli import (PauliDecomposition, PauliString, SIGMA, base4_digits,
                              decompose, pauli_matrix, reconstruct)
@@ -9,6 +12,30 @@ from qforecast.pauli import (PauliDecomposition, PauliString, SIGMA, base4_digit
 
 def random_hermitian(rng, dim):
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (m + m.conj().T) / 2
+
+
+def sweep_coefficients(m):
+    """The oracle: Tr(M_i m) / dim for every string i, one dense product each."""
+    dim = m.shape[0]
+    k = dim.bit_length() - 1
+    return np.array([np.trace(pauli_matrix(PauliString.from_index(i, k)) @ m) / dim
+                     for i in range(4 ** k)])
+
+
+def dense_coefficients(decomposition):
+    out = np.zeros(4 ** decomposition.num_qubits)
+    for a, s in decomposition.terms:
+        out[int("".join(map(str, s.digits)), 4)] = a
+    return out
+
+
+@st.composite
+def hermitian_matrices(draw):
+    dim = 1 << draw(st.integers(1, 4))
+    parts = hnp.arrays(np.float64, (dim, dim),
+                       elements=st.floats(-10.0, 10.0, allow_nan=False))
+    m = draw(parts) + 1j * draw(parts)
     return (m + m.conj().T) / 2
 
 
@@ -134,6 +161,34 @@ class TestDecompose:
         m = 2.0 * pauli_matrix("XX") + 1e-14 * pauli_matrix("ZZ")
         d = decompose(np.real(m + m.conj().T) / 2, prune_tol=1e-12)
         assert [s.label for _, s in d.terms] == ["XX"]
+
+
+class TestContraction:
+    @given(hermitian_matrices())
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_matches_the_per_string_sweep_and_round_trips(self, m):
+        d = decompose(m, prune_tol=0.0)
+        assert len(d) == m.size
+        assert np.max(np.abs(dense_coefficients(d) - sweep_coefficients(m))) <= 1e-12
+        assert np.max(np.abs(reconstruct(d) - m)) <= 1e-12
+
+    def test_reconstruct_matches_the_dense_sum(self):
+        rng = np.random.default_rng(9)
+        terms = tuple((float(rng.normal()), PauliString.from_index(int(i), 3))
+                      for i in rng.choice(64, size=20, replace=False))
+        d = PauliDecomposition(3, terms)
+        want = sum(a * pauli_matrix(s) for a, s in terms)
+        assert np.max(np.abs(reconstruct(d) - want)) <= 1e-12
+
+    def test_128_by_128_decomposes(self):
+        rng = np.random.default_rng(10)
+        m = random_hermitian(rng, 128)
+        d = decompose(m)
+        assert d.num_qubits == 7
+        assert np.max(np.abs(reconstruct(d) - m)) <= 1e-12
+        for a, s in d.terms[::997]:
+            want = np.trace(pauli_matrix(s) @ m) / 128
+            assert abs(a - want) <= 1e-12
 
 
 class TestReconstructAndPrune:

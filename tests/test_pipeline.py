@@ -1,4 +1,5 @@
 import filecmp
+import math
 import os
 from datetime import date
 
@@ -213,6 +214,12 @@ class TestRunPipelineModels:
         assert r.extras["residual"] >= 0.0
         assert r.extras["weights"].dtype.kind == "f"
         assert len(r.trace) == r.extras["evaluations"]
+        assert r.extras["stop_reason"] in ("objective reached target",
+                                           "evaluation budget exhausted",
+                                           "trust radius below tolerance")
+        assert r.extras["error_bound"] == pytest.approx(
+            r.extras["condition_number"] * math.sqrt(max(r.extras["final_cost"], 0.0)),
+            rel=1e-6)
 
     def test_vqls_agrees_with_linear_on_same_window(self):
         # both solve the same normal equations; the variational path should
@@ -277,7 +284,11 @@ class TestRunReportText:
                            specs=[ModelSpec(kind="vqls", max_iters=300,
                                             restarts=1)],
                            split_date=SPLIT)
-        assert "condition number" in run.details()
+        details = run.details()
+        assert "condition number" in details
+        # the certificate sits next to the cost it comes from
+        assert ", error bound " in details.split("final cost ")[1]
+        assert "stop reason " in details
 
 
 class TestArtifacts:

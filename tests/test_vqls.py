@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qforecast import vqls
+from qforecast import qsim, vqls
 from qforecast.linsys import build_windows, fit_scaler, normal_equations, predict_next
 from qforecast.qsim import circuit_unitary
 from qforecast.vqls import (AnsatzSpec, VqlsProblem, ansatz_circuit, ansatz_state,
@@ -168,6 +168,27 @@ class TestCost:
             assert vqls._cost_from_state(p, np.exp(1j * phi) * x) == pytest.approx(
                 base, abs=1e-12)
 
+    def test_hadamard_estimator_runs_n_squared_plus_2n_tests(self, monkeypatch):
+        # the overlap needs Re and Im of each term; the normalization only Re
+        # of each pair, so n terms cost 2n + n^2 Hadamard tests
+        rng = np.random.default_rng(8)
+        a, b = easy_spd(rng)
+        p = VqlsProblem.from_system(a, b)
+        theta = rng.uniform(0, 2 * math.pi, size=8)
+        before = cost(p, theta, estimator="hadamard")
+        parts = []
+        hadamard_test = qsim.hadamard_test
+
+        def counted(u, part="real", **kwargs):
+            parts.append(part)
+            return hadamard_test(u, part=part, **kwargs)
+
+        monkeypatch.setattr(qsim, "hadamard_test", counted)
+        assert cost(p, theta, estimator="hadamard") == before
+        n = len(p.decomposition)
+        assert len(parts) == 2 * n + n * n
+        assert parts.count("imaginary") == n
+
     def test_rejects_unknown_estimator(self):
         p = VqlsProblem.from_system(np.eye(2), np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
@@ -230,6 +251,73 @@ class TestRescale:
             rescale(p, np.array([1.0, 0.0]))
 
 
+def criterion_04_system(seed):
+    """Acceptance criterion 04's well-conditioned 4x4 construction."""
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(-1.0, 1.0, size=(4, 4))
+    a = (m + m.T) / 2.0
+    lam = np.linalg.eigvalsh(a)
+    shift = max((lam[-1] - 10.0 * lam[0]) / 9.0, 0.0)
+    return a + (shift + 1e-6) * np.eye(4), rng.uniform(-1.0, 1.0, size=4)
+
+
+def trace_distance(x, y):
+    """Trace distance between the pure states of two vectors."""
+    x = np.asarray(x) / np.linalg.norm(x)
+    y = np.asarray(y) / np.linalg.norm(y)
+    return math.sqrt(max(0.0, 1.0 - abs(np.vdot(x, y)) ** 2))
+
+
+class TestCertifiedStop:
+    def test_certified_solves_are_within_epsilon(self):
+        for dim in (2, 4):
+            for seed in range(8):
+                a, b = easy_spd(np.random.default_rng(100 + seed), dim)
+                p = VqlsProblem.from_system(a, b)
+                res = solve(p, seed=seed)
+                assert res.stop_reason == "objective reached target"
+                assert res.condition_number == pytest.approx(np.linalg.cond(a), rel=1e-9)
+                distance = trace_distance(np.linalg.solve(a, b), res.w_state)
+                assert distance <= res.error_bound + 1e-9
+                assert distance <= vqls.DEFAULT_EPSILON
+                # the certificate ends the search: the last cost met the target
+                target = (vqls.DEFAULT_EPSILON / res.condition_number) ** 2
+                assert res.cost_trace[-1] <= target * (1 + 1e-12)
+                assert min(res.cost_trace[:-1]) > target * (1 - 1e-12)
+
+    def test_certified_solve_skips_the_remaining_restarts(self):
+        a, b = criterion_04_system(0)
+        res = solve(VqlsProblem.from_system(a, b), seed=0, restarts=5, max_iters=2000)
+        assert res.evaluations <= 3600  # of the 10,000 the five restarts may use
+        assert res.stop_reason == "objective reached target"
+        assert res.converged
+
+    def test_epsilon_zero_uses_the_whole_budget(self):
+        a, b = criterion_04_system(0)
+        res = solve(VqlsProblem.from_system(a, b), seed=0, restarts=5, max_iters=2000,
+                    epsilon=0.0)
+        assert res.evaluations == 10_000
+        assert res.stop_reason == "evaluation budget exhausted"
+
+    def test_sampled_costs_never_certify(self):
+        p = VqlsProblem.from_system(np.diag([1.0, 2.0]), np.array([1.0, 1.0]))
+        exact = solve(p, seed=0, restarts=2, max_iters=60, estimator="hadamard")
+        assert exact.stop_reason == "objective reached target"
+        kwargs = dict(seed=0, restarts=2, max_iters=60, estimator="hadamard", shots=400)
+        sampled = solve(p, **kwargs)
+        target = (vqls.DEFAULT_EPSILON / sampled.condition_number) ** 2
+        # noisy estimates pass the exact target, but the solve does not stop
+        assert min(sampled.cost_trace) <= target
+        assert sampled.evaluations == 120
+        assert sampled.cost_trace == solve(p, epsilon=0.0, **kwargs).cost_trace
+
+    def test_error_bound_is_kappa_sqrt_cost(self):
+        p = VqlsProblem.from_system(np.diag([1.0, 4.0]), np.array([1.0, 1.0]))
+        res = solve(p, seed=0, restarts=1, max_iters=12)
+        assert res.condition_number == pytest.approx(4.0)
+        assert res.error_bound == pytest.approx(4.0 * math.sqrt(res.final_cost))
+
+
 class TestSolve:
     def test_identity_system(self):
         b = np.array([0.5, 0.5, 0.5, 0.5])
@@ -290,3 +378,13 @@ class TestSolve:
         p = VqlsProblem.from_system(np.eye(2), np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             solve(p, optimizer="adam")
+
+    def test_rejects_no_restarts_or_negative_epsilon_naming_the_value(self):
+        p = VqlsProblem.from_system(np.eye(2), np.array([1.0, 0.0]))
+        for restarts in (0, -3):
+            with pytest.raises(ValueError,
+                               match="restarts must be at least 1, got %d" % restarts):
+                solve(p, restarts=restarts)
+        for epsilon in (-1e-3, math.nan):
+            with pytest.raises(ValueError, match="epsilon must be at least 0"):
+                solve(p, epsilon=epsilon)
