@@ -17,7 +17,6 @@ from . import baselines, optimize, pauli, vqls
 from .datagen import GeneratorConfig, generate
 from .linsys import (
     add_months,
-    condition_number,
     preprocess,
     read_series_csv,
     write_predictions_csv,
@@ -155,7 +154,7 @@ def cmd_solve_vqls(args) -> int:
                         restarts=args.restarts, max_iters=args.max_iters,
                         estimator=args.estimator, shots=args.shots,
                         cost_tol=args.cost_tol)
-    print("condition number %.6g" % condition_number(a))
+    print("condition number %.6g" % result.condition_number)
     weights = np.asarray(result.w).real
     for i, w in enumerate(weights):
         print("w[%d] = %r" % (i, float(w)))

@@ -23,7 +23,6 @@ from .linsys import (
     TimeSeries,
     WindowSystem,
     atomic_write,
-    condition_number,
     normal_equations,
     preprocess,
     write_predictions_csv,
@@ -185,7 +184,7 @@ def fit(spec: ModelSpec, X: np.ndarray, y: np.ndarray, seed: int):
     # symmetric systems the leftover imaginary part is numerical noise
     model = baselines.LinearModel(np.asarray(result.w).real)
     return model, tuple(result.cost_trace), {
-        "condition_number": condition_number(system.A),
+        "condition_number": result.condition_number,
         "final_cost": result.final_cost,
         "error_bound": result.error_bound,
         "stop_reason": result.stop_reason,

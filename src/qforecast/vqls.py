@@ -17,7 +17,7 @@ optimization when that does not hurt the cost: the global phase of
 The cost certifies the answer. With kappa the condition number of A, the
 trace distance between |x(theta)> and the normalized true solution is at
 most kappa * sqrt(C) (Bravo-Prieto et al., arXiv:1909.05820), so an exact
-solve stops as soon as C <= epsilon^2 / kappa^2.
+solve stops as soon as C <= DEFAULT_EPSILON^2 / kappa^2.
 """
 
 from __future__ import annotations
@@ -31,7 +31,10 @@ import numpy as np
 from . import linsys, optimize, pauli, qsim
 
 DEFAULT_COST_TOL = 1e-3
-DEFAULT_EPSILON = 1e-3
+DEFAULT_EPSILON = 1e-3  # trace distance an exact solve certifies before stopping
+# The Hadamard estimator builds every retained term as a dense matrix and
+# runs n^2 tests for n terms, so it refuses systems above 64x64.
+MAX_HADAMARD_QUBITS = 6
 
 
 def default_layers(num_qubits: int) -> int:
@@ -158,6 +161,11 @@ def cost(problem: VqlsProblem, theta, ansatz=None, estimator: str = "analytic",
     if estimator != "hadamard":
         raise ValueError(f"estimator must be 'analytic' or 'hadamard', "
                          f"got {estimator!r}")
+    if problem.num_qubits > MAX_HADAMARD_QUBITS:
+        dim = 1 << problem.num_qubits
+        raise ValueError(f"the Hadamard estimator takes at most "
+                         f"{1 << MAX_HADAMARD_QUBITS}x{1 << MAX_HADAMARD_QUBITS} "
+                         f"systems, got {dim}x{dim}")
     rng = qsim._as_rng(rng)
     v = qsim.circuit_unitary(ansatz_circuit(ansatz, theta))
     prep_adj = problem.prepare_b.conj().T
@@ -251,26 +259,25 @@ def solve(problem: VqlsProblem, ansatz: AnsatzSpec | None = None,
           optimizer: str = "cobyla", seed: int = 0, restarts: int = 5,
           max_iters: int = 2000, estimator: str = "analytic",
           shots: int | None = None,
-          cost_tol: float = DEFAULT_COST_TOL,
-          epsilon: float = DEFAULT_EPSILON) -> VqlsResult:
+          cost_tol: float = DEFAULT_COST_TOL) -> VqlsResult:
     """Minimize the cost over theta with seeded random restarts.
 
     Returns the best restart's solution, snapped to a real representative
     when that is at least as good, with the classical rescale applied.
     The convergence flag reports final cost <= cost_tol.
 
-    When the cost is exact (no shots), epsilon > 0 and A is not singular,
-    a restart stops at the first cost <= epsilon^2 / kappa^2, which
-    certifies a trace distance of at most epsilon, and the remaining
-    restarts are skipped. epsilon=0 turns the stop off.
+    When the cost is exact (the analytic estimator, or no shots) and A is
+    not singular, a restart stops at the first cost <= DEFAULT_EPSILON^2 /
+    kappa^2, which certifies a trace distance of at most DEFAULT_EPSILON,
+    and the remaining restarts are skipped. The analytic estimator ignores
+    shots, so its solves do not depend on them.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
-    if not epsilon >= 0.0:
-        raise ValueError(f"epsilon must be at least 0, got {epsilon}")
     ansatz = ansatz or AnsatzSpec.default(problem.num_qubits)
     rng = np.random.default_rng(seed)
-    shot_rng = np.random.default_rng(rng.integers(2 ** 63)) if shots else None
+    sampled = estimator == "hadamard" and shots is not None
+    shot_rng = np.random.default_rng(rng.integers(2 ** 63)) if sampled else None
 
     def objective(theta):
         return cost(problem, theta, ansatz=ansatz, estimator=estimator,
@@ -279,8 +286,8 @@ def solve(problem: VqlsProblem, ansatz: AnsatzSpec | None = None,
     grad = lambda t: optimize.finite_diff_gradient(objective, t)
     kappa = linsys.condition_number(problem.a_used)
     target = None
-    if shots is None and epsilon > 0.0 and math.isfinite(kappa):
-        target = epsilon ** 2 / kappa ** 2
+    if not sampled and math.isfinite(kappa):
+        target = DEFAULT_EPSILON ** 2 / kappa ** 2
     options = optimize.OptimOptions(max_iters=max_iters, max_evals=max_iters,
                                     target=target)
     best = None

@@ -247,6 +247,18 @@ class TestSolveVqls:
             assert out == ""
             assert "restarts must be at least 1, got %s" % restarts in err
 
+    def test_hadamard_estimator_above_64_fails_before_any_solve(self, tmp_path, capsys):
+        a_path = str(tmp_path / "A.csv")
+        b_path = str(tmp_path / "b.csv")
+        np.savetxt(a_path, np.diag(np.arange(1.0, 129.0)), delimiter=",")
+        np.savetxt(b_path, np.ones(128))
+        code = main(["solve-vqls", "--matrix", a_path, "--rhs", b_path,
+                     "--estimator", "hadamard"])
+        assert code == EXIT_INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "at most 64x64 systems, got 128x128" in err
+
     def test_zero_budget_names_the_value(self, tmp_path, capsys):
         a_path, b_path = spd_system(tmp_path)
         code = main(["solve-vqls", "--matrix", a_path, "--rhs", b_path,

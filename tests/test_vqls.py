@@ -194,6 +194,13 @@ class TestCost:
         with pytest.raises(ValueError):
             cost(p, np.zeros(4), estimator="direct")
 
+    def test_hadamard_estimator_refuses_systems_above_64(self):
+        p = VqlsProblem.from_system(np.diag(np.arange(1.0, 129.0)), np.ones(128))
+        theta = np.zeros(AnsatzSpec.default(7).num_parameters)
+        with pytest.raises(ValueError, match="at most 64x64 systems, got 128x128"):
+            cost(p, theta, estimator="hadamard")
+        assert 0.0 <= cost(p, theta) <= 1.0
+
 
 class TestRealign:
     def test_real_state_unchanged(self):
@@ -292,14 +299,25 @@ class TestCertifiedStop:
         assert res.stop_reason == "objective reached target"
         assert res.converged
 
-    def test_epsilon_zero_uses_the_whole_budget(self):
+    def test_epsilon_zero_uses_the_whole_budget(self, monkeypatch):
+        monkeypatch.setattr(vqls, "DEFAULT_EPSILON", 0.0)
         a, b = criterion_04_system(0)
-        res = solve(VqlsProblem.from_system(a, b), seed=0, restarts=5, max_iters=2000,
-                    epsilon=0.0)
+        res = solve(VqlsProblem.from_system(a, b), seed=0, restarts=5, max_iters=2000)
         assert res.evaluations == 10_000
         assert res.stop_reason == "evaluation budget exhausted"
 
-    def test_sampled_costs_never_certify(self):
+    def test_analytic_solve_ignores_shots(self):
+        # the analytic cost is exact whatever shots says, so the solve
+        # certifies and stops exactly as it does without shots
+        a, b = easy_spd(np.random.default_rng(100), 4)
+        p = VqlsProblem.from_system(a, b)
+        plain = solve(p, seed=0)
+        with_shots = solve(p, seed=0, shots=1000)
+        assert with_shots.stop_reason == "objective reached target"
+        assert with_shots.cost_trace == plain.cost_trace
+        assert np.array_equal(with_shots.w, plain.w)
+
+    def test_sampled_costs_never_certify(self, monkeypatch):
         p = VqlsProblem.from_system(np.diag([1.0, 2.0]), np.array([1.0, 1.0]))
         exact = solve(p, seed=0, restarts=2, max_iters=60, estimator="hadamard")
         assert exact.stop_reason == "objective reached target"
@@ -309,7 +327,10 @@ class TestCertifiedStop:
         # noisy estimates pass the exact target, but the solve does not stop
         assert min(sampled.cost_trace) <= target
         assert sampled.evaluations == 120
-        assert sampled.cost_trace == solve(p, epsilon=0.0, **kwargs).cost_trace
+        # nor does any target: a solve that would stop at its first exact
+        # cost runs the same sampled path
+        monkeypatch.setattr(vqls, "DEFAULT_EPSILON", math.inf)
+        assert sampled.cost_trace == solve(p, **kwargs).cost_trace
 
     def test_error_bound_is_kappa_sqrt_cost(self):
         p = VqlsProblem.from_system(np.diag([1.0, 4.0]), np.array([1.0, 1.0]))
@@ -379,12 +400,9 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(p, optimizer="adam")
 
-    def test_rejects_no_restarts_or_negative_epsilon_naming_the_value(self):
+    def test_rejects_no_restarts_naming_the_value(self):
         p = VqlsProblem.from_system(np.eye(2), np.array([1.0, 0.0]))
         for restarts in (0, -3):
             with pytest.raises(ValueError,
                                match="restarts must be at least 1, got %d" % restarts):
                 solve(p, restarts=restarts)
-        for epsilon in (-1e-3, math.nan):
-            with pytest.raises(ValueError, match="epsilon must be at least 0"):
-                solve(p, epsilon=epsilon)
