@@ -73,20 +73,12 @@ def read_matrix_csv(path: str) -> np.ndarray:
 
 
 def read_vector_csv(path: str) -> np.ndarray:
-    """Numeric vector, one value per line."""
-    values = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values.append(float(line))
-            except ValueError as exc:
-                raise ValueError("%s:%d: %s" % (path, lineno, exc))
-    if not values:
-        raise ValueError(path + ": no values")
-    return np.array(values)
+    """Numeric vector, one value per line: a one-column read_matrix_csv."""
+    column = read_matrix_csv(path)
+    if column.shape[1] != 1:
+        raise ValueError("%s: %d values per line, expected one"
+                         % (path, column.shape[1]))
+    return column.ravel()
 
 
 def cmd_generate(args) -> int:
@@ -152,8 +144,7 @@ def cmd_solve_vqls(args) -> int:
     problem = vqls.VqlsProblem.from_system(a, b)
     result = vqls.solve(problem, optimizer=args.optimizer, seed=args.seed,
                         restarts=args.restarts, max_iters=args.max_iters,
-                        estimator=args.estimator, shots=args.shots,
-                        cost_tol=args.cost_tol)
+                        estimator=args.estimator, shots=args.shots)
     print("condition number %.6g" % result.condition_number)
     weights = np.asarray(result.w).real
     for i, w in enumerate(weights):
@@ -326,7 +317,6 @@ def build_parser() -> _Parser:
     p.add_argument("--estimator", choices=("analytic", "hadamard"),
                    default="analytic")
     p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--cost-tol", type=float, default=vqls.DEFAULT_COST_TOL)
     p.add_argument("--trace-out", default=None)
     p.set_defaults(func=cmd_solve_vqls)
 

@@ -1,12 +1,14 @@
 """Parameterized-quantum-circuit regressor for sliding-window forecasting.
 
 Architecture (for k qubits, default 12): each of the k window values is
-angle-encoded as RY(x_i) on its own qubit, followed by two variational
-blocks. Block L applies a CNOT entangling pattern and then RX(theta),
-RY(theta) on every qubit. The first pattern pairs neighbors (0,1), (2,3),
-...; the second shifts by one, (1,2), (3,4), ..., and closes the ring with
-(k-1, 0) when k >= 3. The prediction is the expectation of Z on qubit 0,
-so outputs live in [-1, 1] and match the scaled-difference target range.
+angle-encoded as RY(x_i) on its own qubit, giving the product state of the
+(cos x_i/2, sin x_i/2) (`encode`), followed by two variational blocks that
+depend on theta only (`model_circuit`, built once per theta). Block L
+applies a CNOT entangling pattern and then RX(theta), RY(theta) on every
+qubit. The first pattern pairs neighbors (0,1), (2,3), ...; the second
+shifts by one, (1,2), (3,4), ..., and closes the ring with (k-1, 0) when
+k >= 3. The prediction is the expectation of Z on qubit 0, so outputs live
+in [-1, 1] and match the scaled-difference target range.
 
 Parameters are flat, layer-major then qubit-minor, RX before RY:
 theta[L * 2k + 2q] is the RX angle of qubit q in block L.
@@ -22,6 +24,7 @@ import numpy as np
 from . import optimize, qsim
 
 VARIATIONAL_BLOCKS = 2
+FINITE_DIFF_STEP = 1e-5  # step of the finite-difference gradient
 
 
 @dataclass(frozen=True)
@@ -57,13 +60,13 @@ class PqcModel:
         return predict_batch(self, windows)
 
 
-def feature_map(window) -> qsim.Circuit:
-    """Angle encoding: RY(x_i) on qubit i."""
-    window = np.asarray(window, dtype=float)
-    circuit = qsim.Circuit(window.size)
-    for q, x in enumerate(window):
-        circuit.ry(q, float(x))
-    return circuit
+def encode(window) -> qsim.Statevector:
+    """RY(x_0) ... RY(x_{k-1}) |0...0>, multiplied out from qubit 0 as the
+    gates would: the same bits, up to the sign of an exact zero."""
+    amps = np.ones(1)
+    for half in np.asarray(window, dtype=float) / 2:
+        amps = np.outer(amps, (math.cos(half), math.sin(half))).ravel()
+    return qsim.Statevector(amps)
 
 
 def _entangler_pairs(num_qubits: int, block: int) -> list[tuple[int, int]]:
@@ -75,12 +78,10 @@ def _entangler_pairs(num_qubits: int, block: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def model_circuit(model: PqcModel, window) -> qsim.Circuit:
-    window = np.asarray(window, dtype=float)
-    if window.size != model.num_qubits:
-        raise ValueError(f"window length {window.size} != {model.num_qubits} qubits")
-    circuit = feature_map(window)
+def model_circuit(model: PqcModel) -> qsim.Circuit:
+    """The two variational blocks, run on the state `encode` gives."""
     k = model.num_qubits
+    circuit = qsim.Circuit(k)
     for block in range(VARIATIONAL_BLOCKS):
         for control, target in _entangler_pairs(k, block):
             circuit.cnot(control, target)
@@ -92,13 +93,19 @@ def model_circuit(model: PqcModel, window) -> qsim.Circuit:
 
 
 def predict(model: PqcModel, window) -> float:
-    state = qsim.run_circuit(model_circuit(model, window))
-    return qsim.expectation(state, "Z" + "I" * (model.num_qubits - 1))
+    return float(predict_batch(model, [window])[0])
 
 
 def predict_batch(model: PqcModel, windows) -> np.ndarray:
+    """<Z_0> per window: one circuit for theta, run on each encoded window."""
     windows = np.atleast_2d(np.asarray(windows, dtype=float))
-    return np.array([predict(model, w) for w in windows])
+    if windows.shape[1] != model.num_qubits:
+        raise ValueError(f"window length {windows.shape[1]} != "
+                         f"{model.num_qubits} qubits")
+    circuit = model_circuit(model)
+    readout = "Z" + "I" * (model.num_qubits - 1)
+    return np.array([qsim.expectation(qsim.run_circuit(circuit, encode(w)),
+                                      readout) for w in windows])
 
 
 def loss(model: PqcModel, windows, labels) -> float:
@@ -110,8 +117,8 @@ def loss(model: PqcModel, windows, labels) -> float:
     return float(np.mean((preds - labels) ** 2))
 
 
-def gradient(model: PqcModel, windows, labels, method: str = "parameter-shift",
-             h: float = 1e-5) -> np.ndarray:
+def gradient(model: PqcModel, windows, labels,
+             method: str = "parameter-shift") -> np.ndarray:
     """Gradient of the loss in theta.
 
     parameter-shift evaluates predictions at theta_p +- pi/2 and chains the
@@ -123,7 +130,7 @@ def gradient(model: PqcModel, windows, labels, method: str = "parameter-shift",
     if method == "finite-difference":
         return optimize.finite_diff_gradient(
             lambda theta: loss(model.with_theta(theta), windows, labels),
-            model.theta, h=h)
+            model.theta, h=FINITE_DIFF_STEP)
     if method != "parameter-shift":
         raise ValueError(f"method must be 'parameter-shift' or "
                          f"'finite-difference', got {method!r}")

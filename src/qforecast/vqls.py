@@ -98,7 +98,6 @@ class VqlsProblem:
     decomposition: pauli.PauliDecomposition
     b_state: np.ndarray
     b_norm: float
-    a_matrix: np.ndarray    # original input matrix
     a_used: np.ndarray      # reconstruction of the retained terms
     prepare_b: np.ndarray   # unitary with first column b_state
 
@@ -123,14 +122,12 @@ class VqlsProblem:
             raise ValueError("matrix decomposed to nothing above the prune tolerance")
         b_state = b / b_norm
         b_state.setflags(write=False)
-        a = a.copy()
-        a.setflags(write=False)
         a_used = pauli.reconstruct(decomposition)
         a_used.setflags(write=False)
         prep = qsim.prepare_state(b_state)
         prep.setflags(write=False)
         return cls(decomposition=decomposition, b_state=b_state, b_norm=b_norm,
-                   a_matrix=a, a_used=a_used, prepare_b=prep)
+                   a_used=a_used, prepare_b=prep)
 
 
 def _pauli_unitaries(problem: VqlsProblem) -> list[np.ndarray]:
@@ -238,8 +235,6 @@ class VqlsResult:
     theta: np.ndarray
     w_state: np.ndarray
     w: np.ndarray
-    scale: float
-    sign: int
     cost_trace: list[float]
     final_cost: float
     residual: float
@@ -255,16 +250,15 @@ class VqlsResult:
         return self.condition_number * math.sqrt(max(self.final_cost, 0.0))
 
 
-def solve(problem: VqlsProblem, ansatz: AnsatzSpec | None = None,
-          optimizer: str = "cobyla", seed: int = 0, restarts: int = 5,
-          max_iters: int = 2000, estimator: str = "analytic",
-          shots: int | None = None,
-          cost_tol: float = DEFAULT_COST_TOL) -> VqlsResult:
+def solve(problem: VqlsProblem, optimizer: str = "cobyla", seed: int = 0,
+          restarts: int = 5, max_iters: int = 2000,
+          estimator: str = "analytic", shots: int | None = None) -> VqlsResult:
     """Minimize the cost over theta with seeded random restarts.
 
     Returns the best restart's solution, snapped to a real representative
-    when that is at least as good, with the classical rescale applied.
-    The convergence flag reports final cost <= cost_tol.
+    when that is at least as good, with the classical rescale applied, for
+    the default ansatz. The convergence flag reports final cost <=
+    DEFAULT_COST_TOL.
 
     When the cost is exact (the analytic estimator, or no shots) and A is
     not singular, a restart stops at the first cost <= DEFAULT_EPSILON^2 /
@@ -274,7 +268,7 @@ def solve(problem: VqlsProblem, ansatz: AnsatzSpec | None = None,
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
-    ansatz = ansatz or AnsatzSpec.default(problem.num_qubits)
+    ansatz = AnsatzSpec.default(problem.num_qubits)
     rng = np.random.default_rng(seed)
     sampled = estimator == "hadamard" and shots is not None
     shot_rng = np.random.default_rng(rng.integers(2 ** 63)) if sampled else None
@@ -312,12 +306,12 @@ def solve(problem: VqlsProblem, ansatz: AnsatzSpec | None = None,
         if real_cost <= raw_cost + 1e-12:
             chosen = real_candidate
     w_state = canonical_phase(chosen)
-    w, scale, sign = rescale(problem, w_state)
+    w = rescale(problem, w_state)[0]
     final_cost = _cost_from_state(problem, w_state)
     b = problem.b_state * problem.b_norm
     residual = float(np.linalg.norm(problem.a_used @ w - b)) / problem.b_norm
-    return VqlsResult(theta=theta_best, w_state=w_state, w=w, scale=scale,
-                      sign=sign, cost_trace=trace, final_cost=final_cost,
-                      residual=residual, converged=bool(final_cost <= cost_tol),
+    return VqlsResult(theta=theta_best, w_state=w_state, w=w, cost_trace=trace,
+                      final_cost=final_cost, residual=residual,
+                      converged=bool(final_cost <= DEFAULT_COST_TOL),
                       evaluations=evaluations, condition_number=kappa,
                       stop_reason=best.message)

@@ -76,7 +76,13 @@ class TestReaders:
     def test_vector_empty(self, tmp_path):
         path = tmp_path / "v.csv"
         path.write_text("\n")
-        with pytest.raises(ValueError, match="no values"):
+        with pytest.raises(ValueError, match="no rows"):
+            read_vector_csv(str(path))
+
+    def test_vector_rejects_a_second_column(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text("1,2\n3,4\n")
+        with pytest.raises(ValueError, match="2 values per line, expected one"):
             read_vector_csv(str(path))
 
 

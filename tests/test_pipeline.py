@@ -11,6 +11,7 @@ from qforecast.datagen import GeneratorConfig, generate, trending_series
 from qforecast.linsys import preprocess, read_series_csv
 from qforecast.pipeline import (
     KINDS,
+    PQC_MAX_WINDOW,
     ModelSpec,
     default_specs,
     fit,
@@ -77,6 +78,16 @@ class TestModelSpec:
                 ModelSpec(kind=kind, optimizer="adam")
         assert ModelSpec(kind="vqls", window=64).window == 64
         assert ModelSpec(kind="pqc", optimizer="lbfgs").optimizer == "lbfgs"
+
+    def test_pqc_window_too_wide_to_simulate_fails_at_construction(self):
+        # a 30-qubit state would need 16 GiB; the spec refuses it before
+        # any model of the run trains
+        for window in (PQC_MAX_WINDOW + 1, 30):
+            with pytest.raises(ValueError, match="pqc window must be at most 16"):
+                ModelSpec(kind="pqc", window=window)
+        assert ModelSpec(kind="pqc", window=PQC_MAX_WINDOW).window == 16
+        for kind in ("linear", "mlp"):
+            assert ModelSpec(kind=kind, window=30).window == 30
 
     def test_negative_budget_or_no_restarts_fails_at_construction(self):
         # checked in the spec, so run_pipeline fails before any model trains

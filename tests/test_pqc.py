@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from qforecast import qsim
+from qforecast import pqc, qsim
 from qforecast.modelfile import load_any_model
-from qforecast.pqc import (PqcModel, TrainConfig, feature_map, gradient, loss,
+from qforecast.pqc import (PqcModel, TrainConfig, encode, gradient, loss,
                            model_circuit, predict, predict_batch, save_model, train)
 
 
@@ -33,16 +33,76 @@ class TestModelConstruction:
         with pytest.raises(ValueError):
             PqcModel(theta=np.zeros(10), num_qubits=12)
 
+
+def ry_circuit(window):
+    """The angle encoding as gates: RY(x_i) on qubit i."""
+    circuit = qsim.Circuit(len(window))
+    for q, x in enumerate(window):
+        circuit.ry(q, float(x))
+    return circuit
+
+
+def full_circuit_predictions(model, windows):
+    """Oracle: one circuit per window, its RY encoding gates followed by the
+    gates of model_circuit, run from |0...0>."""
+    readout = "Z" + "I" * (model.num_qubits - 1)
+    out = []
+    for w in windows:
+        circuit = ry_circuit(w)
+        for gate in model_circuit(model).gates:
+            circuit.add(gate)
+        out.append(qsim.expectation(qsim.run_circuit(circuit), readout))
+    return np.array(out)
+
+
+def full_circuit_gradient(model, windows, labels):
+    """Oracle: the parameter-shift gradient of the squared loss, with every
+    prediction taken from the full per-window circuit."""
+    residual = 2.0 * (full_circuit_predictions(model, windows) - labels) / labels.size
+    grad = np.empty(model.num_parameters)
+    for p in range(model.num_parameters):
+        shift = np.zeros(model.num_parameters)
+        shift[p] = math.pi / 2
+        up = full_circuit_predictions(model.with_theta(model.theta + shift), windows)
+        down = full_circuit_predictions(model.with_theta(model.theta - shift), windows)
+        grad[p] = float(residual @ ((up - down) / 2.0))
+    return grad
+
+
+def corpus(k, seed):
+    """Fixed thetas and windows for k qubits: training-range and wide windows,
+    one all-zero window, small and full-range thetas."""
+    rng = np.random.default_rng(seed)
+    windows = np.vstack([rng.uniform(-0.25, 0.25, size=(5, k)),
+                         rng.uniform(-3.0, 3.0, size=(2, k)),
+                         np.zeros((1, k))])
+    labels = rng.uniform(-0.25, 0.25, size=len(windows))
+    thetas = [rng.uniform(-0.1, 0.1, 4 * k), rng.uniform(-math.pi, math.pi, 4 * k)]
+    return [PqcModel(theta=t, num_qubits=k) for t in thetas], windows, labels
+
+
 class TestFeatureMap:
-    def test_zero_window_gives_zero_state(self):
-        state = qsim.run_circuit(feature_map(np.zeros(4)))
-        assert np.allclose(state.amplitudes, [1] + [0] * 15, atol=1e-12)
+    """The angle encoding, one RY(x_i) per feature, as the product state
+    that encode builds."""
 
     def test_one_gate_per_feature(self):
-        c = feature_map([0.1, 0.2, 0.3])
-        assert len(c.gates) == 3
-        assert all(g.name == "ry" for g in c.gates)
-        assert [g.qubits[0] for g in c.gates] == [0, 1, 2]
+        # encode equals the state of the RY gates bit for bit
+        for k in (1, 3, 4, 12):
+            rng = np.random.default_rng(k)
+            for window in [*rng.uniform(-0.25, 0.25, size=(4, k)),
+                           *rng.uniform(-3.0, 3.0, size=(2, k))]:
+                want = qsim.run_circuit(ry_circuit(window)).amplitudes
+                assert encode(window).amplitudes.tobytes() == want.tobytes()
+
+    def test_zero_entries_equal_the_gates_up_to_the_sign_of_zero(self):
+        window = np.array([-0.2, 0.0, 0.1, -0.0])
+        got = encode(window).amplitudes
+        want = qsim.run_circuit(ry_circuit(window)).amplitudes
+        assert np.array_equal(got, want)
+        assert got[want != 0].tobytes() == want[want != 0].tobytes()
+
+    def test_zero_window_gives_zero_state(self):
+        assert np.array_equal(encode(np.zeros(4)).amplitudes, [1] + [0] * 15)
 
     def test_locality_of_feature_changes(self):
         # changing feature i only composes an extra RY rotation on qubit i
@@ -50,52 +110,86 @@ class TestFeatureMap:
         x = rng.uniform(-0.25, 0.25, size=4)
         x2 = x.copy()
         x2[2] += 0.3
-        base = qsim.run_circuit(feature_map(x))
         circuit = qsim.Circuit(4)
         circuit.ry(2, 0.3)
-        moved = qsim.run_circuit(circuit, initial=base)
-        direct = qsim.run_circuit(feature_map(x2))
-        assert np.allclose(moved.amplitudes, direct.amplitudes, atol=1e-12)
+        moved = qsim.run_circuit(circuit, initial=encode(x))
+        assert np.allclose(moved.amplitudes, encode(x2).amplitudes, atol=1e-12)
 
 
 class TestModelCircuit:
     def test_gate_count_and_order_twelve_qubits(self):
-        m = PqcModel.initialized()
-        c = model_circuit(m, np.zeros(12))
-        assert len(c.gates) == 72
+        c = model_circuit(PqcModel.initialized())
+        assert c.num_qubits == 12
+        assert len(c.gates) == 60
         names = [g.name for g in c.gates]
-        assert names[:12] == ["ry"] * 12
-        assert names[12:18] == ["cnot"] * 6
-        assert names[18:42] == ["rx", "ry"] * 12
-        assert names[42:48] == ["cnot"] * 6
-        assert names[48:] == ["rx", "ry"] * 12
+        assert names[:6] == ["cnot"] * 6
+        assert names[6:30] == ["rx", "ry"] * 12
+        assert names[30:36] == ["cnot"] * 6
+        assert names[36:] == ["rx", "ry"] * 12
 
     def test_entangler_patterns_twelve_qubits(self):
-        m = PqcModel.initialized()
-        c = model_circuit(m, np.zeros(12))
-        first = [g.qubits for g in c.gates[12:18]]
-        second = [g.qubits for g in c.gates[42:48]]
+        c = model_circuit(PqcModel.initialized())
+        first = [g.qubits for g in c.gates[:6]]
+        second = [g.qubits for g in c.gates[30:36]]
         assert first == [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11)]
         assert second == [(1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 0)]
 
     def test_theta_layout_layer_major_rx_first(self):
-        m = small_model()
-        m = m.with_theta(np.arange(16, dtype=float))
-        c = model_circuit(m, np.zeros(4))
-        rotations = [g for g in c.gates if g.name in ("rx", "ry")][4:]
-        angles = [g.angle for g in rotations]
-        assert angles == list(range(16))
-        kinds = [g.name for g in rotations]
-        assert kinds == ["rx", "ry"] * 8
+        m = small_model().with_theta(np.arange(16, dtype=float))
+        rotations = [g for g in model_circuit(m).gates if g.name != "cnot"]
+        assert [g.angle for g in rotations] == list(range(16))
+        assert [g.qubits[0] for g in rotations] == [0, 0, 1, 1, 2, 2, 3, 3] * 2
+        assert [g.name for g in rotations] == ["rx", "ry"] * 8
 
     def test_zero_everything_gives_zero_state(self):
         m = PqcModel(theta=np.zeros(16), num_qubits=4)
-        state = qsim.run_circuit(model_circuit(m, np.zeros(4)))
+        state = qsim.run_circuit(model_circuit(m), encode(np.zeros(4)))
         assert np.allclose(state.amplitudes, [1] + [0] * 15, atol=1e-12)
 
     def test_window_length_checked(self):
-        with pytest.raises(ValueError):
-            model_circuit(small_model(), np.zeros(5))
+        # the circuit takes no window; predict_batch checks the width
+        for width in (3, 5):
+            with pytest.raises(ValueError, match=f"window length {width} != 4 qubits"):
+                predict_batch(small_model(), np.zeros((2, width)))
+            with pytest.raises(ValueError, match=f"window length {width} != 4 qubits"):
+                predict(small_model(), np.zeros(width))
+
+    @pytest.mark.parametrize("count", [1, 50])
+    def test_built_once_per_batch(self, monkeypatch, count):
+        built = []
+
+        def counting(model):
+            built.append(model)
+            return model_circuit(model)
+
+        monkeypatch.setattr(pqc, "model_circuit", counting)
+        m = small_model(seed=2)
+        windows = np.random.default_rng(count).uniform(-0.25, 0.25, size=(count, 4))
+        assert predict_batch(m, windows).shape == (count,)
+        assert len(built) == 1 and built[0] is m
+
+
+class TestFullCircuitOracle:
+    """The shared circuit on encoded windows equals the full per-window
+    circuit of the paper, encoding gates included, bit for bit."""
+
+    @pytest.mark.parametrize("k", [3, 4, 12])
+    def test_predictions_and_loss(self, k):
+        models, windows, labels = corpus(k, seed=20 + k)
+        for m in models:
+            want = full_circuit_predictions(m, windows)
+            assert predict_batch(m, windows).tobytes() == want.tobytes()
+            assert [predict(m, w) for w in windows] == list(want)
+            assert loss(m, windows, labels) == float(np.mean((want - labels) ** 2))
+
+    @pytest.mark.parametrize("k", [3, 4, 12])
+    def test_parameter_shift_gradient(self, k):
+        models, windows, labels = corpus(k, seed=30 + k)
+        if k == 12:
+            windows, labels = windows[[0, 5, 7]], labels[[0, 5, 7]]
+        m = models[1]
+        want = full_circuit_gradient(m, windows, labels)
+        assert gradient(m, windows, labels).tobytes() == want.tobytes()
 
 
 class TestPredict:

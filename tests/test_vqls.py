@@ -246,11 +246,12 @@ class TestRescale:
         assert np.allclose(w, [1.5, 0.0], atol=1e-12)
 
     def test_sign_flip(self):
-        p = VqlsProblem.from_system(2 * np.eye(2), np.array([-3.0, 0.0]))
+        a = 2 * np.eye(2)
+        p = VqlsProblem.from_system(a, np.array([-3.0, 0.0]))
         w, scale, sign = rescale(p, np.array([1.0, 0.0]))
         assert sign == -1
         assert np.allclose(w, [-1.5, 0.0], atol=1e-12)
-        assert np.linalg.norm(p.a_matrix @ w - np.array([-3.0, 0.0])) <= 1e-12
+        assert np.linalg.norm(a @ w - np.array([-3.0, 0.0])) <= 1e-12
 
     def test_rejects_annihilated_state(self):
         p = VqlsProblem.from_system(np.diag([0.0, 1.0]), np.array([0.0, 1.0]))
