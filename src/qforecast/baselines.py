@@ -16,8 +16,8 @@ from .linsys import WindowSystem, normal_equations, solve_classical
 
 HIDDEN_UNITS = 12
 
-DEFAULT_LEARNING_RATE = 0.01
-DEFAULT_MOMENTUM = 0.9
+LEARNING_RATE = 0.01
+MOMENTUM = 0.9
 DEFAULT_EPOCHS = 2000
 
 
@@ -176,19 +176,16 @@ def mlp_loss_gradient(model: MlpModel, features: np.ndarray,
 
 
 def mlp_train(model: MlpModel, features: np.ndarray, labels: np.ndarray,
-              learning_rate: float = DEFAULT_LEARNING_RATE,
-              momentum: float = DEFAULT_MOMENTUM,
               epochs: int = DEFAULT_EPOCHS):
     """Full-batch gradient descent with classical momentum.
 
-    Velocity update v <- mu v - lr g, parameter update p <- p + v.
+    Velocity update v <- mu v - lr g, parameter update p <- p + v, with
+    lr = LEARNING_RATE and mu = MOMENTUM.
     Returns (trained_model, loss_trace) where the trace has one entry per
     epoch, evaluated before that epoch's update.
     """
     if epochs < 1:
         raise ValueError("epochs must be positive")
-    if learning_rate <= 0:
-        raise ValueError("learning_rate must be positive")
     params = {"w1": model.w1.copy(), "b1": model.b1.copy(),
               "w2": model.w2.copy(), "b2": model.b2.copy(),
               "w3": model.w3.copy(), "b3": np.float64(model.b3)}
@@ -205,8 +202,8 @@ def mlp_train(model: MlpModel, features: np.ndarray, labels: np.ndarray,
         trace.append(loss)
         with np.errstate(over="ignore", invalid="ignore"):
             for key in params:
-                velocity[key] = (momentum * velocity[key]
-                                 - learning_rate * grads[key])
+                velocity[key] = (MOMENTUM * velocity[key]
+                                 - LEARNING_RATE * grads[key])
                 params[key] = params[key] + velocity[key]
         if not all(np.all(np.isfinite(v)) for v in params.values()):
             raise ArithmeticError(

@@ -95,7 +95,7 @@ def cmd_generate(args) -> int:
 
 def cmd_preprocess(args) -> int:
     series = read_series_csv(args.input, value_column=args.value_column)
-    prep = preprocess(series, args.split, half_width=args.half_width)
+    prep = preprocess(series, args.split)
     write_scaled_csv(args.out, prep.scaled)
     print("scale %r" % float(prep.scaler.max_abs))
     print("wrote %d scaled differences to %s (%d training)"
@@ -259,23 +259,25 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("generate", help="write a synthetic monthly series")
     p.add_argument("--out", required=True)
-    p.add_argument("--months", type=int, default=67)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--start", type=_iso_date, default=date(2019, 1, 1))
-    p.add_argument("--base", type=float, default=1.2e6)
-    p.add_argument("--trend", type=float, default=25_000.0)
-    p.add_argument("--growth", type=float, default=1.008)
-    p.add_argument("--amplitude", type=float, default=0.25)
-    p.add_argument("--phase", type=float, default=0.0)
-    p.add_argument("--noise-std", type=float, default=1.2e5)
+    p.add_argument("--months", type=int, default=GeneratorConfig.num_months)
+    p.add_argument("--seed", type=int, default=GeneratorConfig.seed)
+    p.add_argument("--start", type=_iso_date, default=GeneratorConfig.start)
+    p.add_argument("--base", type=float, default=GeneratorConfig.base)
+    p.add_argument("--trend", type=float, default=GeneratorConfig.trend)
+    p.add_argument("--growth", type=float, default=GeneratorConfig.growth)
+    p.add_argument("--amplitude", type=float,
+                   default=GeneratorConfig.amplitude)
+    p.add_argument("--phase", type=float, default=GeneratorConfig.phase)
+    p.add_argument("--noise-std", type=float,
+                   default=GeneratorConfig.noise_std)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("preprocess",
-                       help="difference and scale a series into [-w, w]")
+                       help="difference a series and scale it by its "
+                            "largest training difference")
     p.add_argument("input")
     p.add_argument("--out", required=True)
     p.add_argument("--split", type=_iso_date, default=DEFAULT_SPLIT)
-    p.add_argument("--half-width", type=float, default=0.25)
     p.add_argument("--value-column", default=None)
     p.set_defaults(func=cmd_preprocess)
 
@@ -284,10 +286,10 @@ def build_parser() -> _Parser:
     p.add_argument("input")
     p.add_argument("--model-out", required=True)
     p.add_argument("--trace-out", default=None)
-    p.add_argument("--window", type=int, default=12)
+    p.add_argument("--window", type=int, default=0)
     p.add_argument("--split", type=_iso_date, default=DEFAULT_SPLIT)
     p.add_argument("--optimizer", choices=optimize.METHODS, default="cobyla")
-    p.add_argument("--max-iters", type=int, default=300)
+    p.add_argument("--max-iters", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--value-column", default=None)
     p.set_defaults(func=cmd_train_pqc)
@@ -298,9 +300,9 @@ def build_parser() -> _Parser:
     p.add_argument("--kind", choices=("linear", "mlp"), required=True)
     p.add_argument("--model-out", required=True)
     p.add_argument("--trace-out", default=None)
-    p.add_argument("--window", type=int, default=12)
+    p.add_argument("--window", type=int, default=0)
     p.add_argument("--split", type=_iso_date, default=DEFAULT_SPLIT)
-    p.add_argument("--epochs", type=int, default=2000)
+    p.add_argument("--epochs", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--value-column", default=None)
     p.set_defaults(func=cmd_train_baseline)

@@ -1,7 +1,7 @@
 """Monthly series preprocessing and sliding-window normal equations.
 
 The forecasting pipeline all runs on first differences scaled into
-[-half_width, half_width]. Sliding windows of m consecutive scaled
+[-HALF_WIDTH, HALF_WIDTH]. Sliding windows of m consecutive scaled
 differences predict the next one; stacking the windows gives X w ~= y and
 the normal equations A = X^T X, b = X^T y. `preprocess` makes the
 differencing, split and scaling decisions for the pipeline and for every
@@ -19,7 +19,7 @@ from datetime import date
 
 import numpy as np
 
-DEFAULT_HALF_WIDTH = 0.25
+HALF_WIDTH = 0.25
 SINGULAR_FLOOR = 1e-300
 PINV_RCOND = 1e-10
 
@@ -69,28 +69,25 @@ def invert_difference(diffs: TimeSeries, anchor: float) -> TimeSeries:
 
 @dataclass(frozen=True)
 class Scaler:
-    """Maps differences into [-half_width, half_width] by the training max."""
+    """Maps differences into [-HALF_WIDTH, HALF_WIDTH] by the training max."""
 
     max_abs: float
-    half_width: float = DEFAULT_HALF_WIDTH
 
     def apply(self, values):
-        return np.asarray(values, dtype=float) * (self.half_width / self.max_abs)
+        return np.asarray(values, dtype=float) * (HALF_WIDTH / self.max_abs)
 
     def invert(self, values):
-        return np.asarray(values, dtype=float) * (self.max_abs / self.half_width)
+        return np.asarray(values, dtype=float) * (self.max_abs / HALF_WIDTH)
 
 
-def fit_scaler(values, half_width: float = DEFAULT_HALF_WIDTH) -> Scaler:
+def fit_scaler(values) -> Scaler:
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("cannot fit a scaler to an empty sample")
-    if half_width <= 0:
-        raise ValueError("half_width must be positive")
     max_abs = float(np.max(np.abs(values)))
     if max_abs == 0.0:
         raise ValueError("all-zero sample leaves the scale undefined")
-    return Scaler(max_abs=max_abs, half_width=half_width)
+    return Scaler(max_abs=max_abs)
 
 
 @dataclass(frozen=True)
@@ -194,15 +191,14 @@ class Preprocessed:
                 self.series.values[window + 1:], predicted)
 
 
-def preprocess(series: TimeSeries, split_date: date,
-               half_width: float = DEFAULT_HALF_WIDTH) -> Preprocessed:
+def preprocess(series: TimeSeries, split_date: date) -> Preprocessed:
     """Difference the series and scale it by its largest pre-split change."""
     diffs = difference(series)
     train = split_mask(diffs.dates, split_date)
     if not train.any():
         raise ValueError("no observations before the split date %s"
                          % split_date)
-    scaler = fit_scaler(diffs.values[train], half_width=half_width)
+    scaler = fit_scaler(diffs.values[train])
     return Preprocessed(series=series, split_date=split_date, scaler=scaler,
                         scaled=TimeSeries(diffs.dates,
                                           scaler.apply(diffs.values)),
@@ -254,10 +250,9 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def write_series_csv(path, series: TimeSeries, value_name: str = "Sales",
-                     fmt: str = "%.2f") -> None:
-    write_csv(path, ("Date", value_name),
-              [(d.isoformat(), fmt % v) for d, v in zip(series.dates, series.values)])
+def write_series_csv(path, series: TimeSeries) -> None:
+    write_csv(path, ("Date", "Sales"),
+              [(d.isoformat(), "%.2f" % v) for d, v in zip(series.dates, series.values)])
 
 
 def write_scaled_csv(path, scaled: TimeSeries) -> None:

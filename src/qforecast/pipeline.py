@@ -33,7 +33,6 @@ from .linsys import (
 DEFAULT_SPLIT = date(2021, 9, 1)
 DEFAULT_WINDOW = 12
 VQLS_WINDOW = 4
-PQC_MAX_WINDOW = 16
 
 KINDS = ("linear", "mlp", "pqc", "vqls")
 
@@ -58,8 +57,7 @@ class ModelSpec:
     variational solver (default 2000), and the epoch count for the MLP
     (default 2000). optimizer is one of optimize.METHODS. restarts is the
     variational solver's number of random starts. The circuit model's window
-    is its qubit count, at most PQC_MAX_WINDOW: a state of 16 qubits takes
-    1 MiB, one of 30 would take 16 GiB.
+    is its qubit count, at most pqc.MAX_QUBITS.
     """
 
     kind: str
@@ -84,9 +82,9 @@ class ModelSpec:
         if self.kind == "vqls" and self.window not in (2, 4, 8, 16, 32, 64):
             raise ValueError("vqls window must be a power of two from 2 to 64, "
                              "got %d" % self.window)
-        if self.kind == "pqc" and self.window > PQC_MAX_WINDOW:
+        if self.kind == "pqc" and self.window > pqc.MAX_QUBITS:
             raise ValueError("pqc window must be at most %d, got %d"
-                             % (PQC_MAX_WINDOW, self.window))
+                             % (pqc.MAX_QUBITS, self.window))
         if self.optimizer not in optimize.METHODS:
             raise ValueError("optimizer must be one of %s, got %r"
                              % (", ".join(optimize.METHODS), self.optimizer))

@@ -24,6 +24,8 @@ import numpy as np
 from . import optimize, qsim
 
 VARIATIONAL_BLOCKS = 2
+# A state of 16 qubits takes 1 MiB; one of 30 would take 16 GiB.
+MAX_QUBITS = 16
 FINITE_DIFF_STEP = 1e-5  # step of the finite-difference gradient
 
 
@@ -35,6 +37,9 @@ class PqcModel:
     def __post_init__(self):
         if self.num_qubits < 1:
             raise ValueError("need at least one qubit")
+        if self.num_qubits > MAX_QUBITS:
+            raise ValueError(f"a PQC takes at most {MAX_QUBITS} qubits, "
+                             f"got {self.num_qubits}")
         theta = np.array(self.theta, dtype=float)
         want = VARIATIONAL_BLOCKS * 2 * self.num_qubits
         if theta.shape != (want,):

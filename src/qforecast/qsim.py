@@ -44,12 +44,12 @@ _FIXED_1Q = {"h": _H, "x": pauli.SIGMA[1]}
 _ROTATIONS = {"rx": _rx, "ry": _ry, "rz": _rz}
 
 
-def is_unitary(matrix: np.ndarray, atol: float = ATOL) -> bool:
+def is_unitary(matrix: np.ndarray) -> bool:
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         return False
     eye = np.eye(matrix.shape[0])
-    return bool(np.max(np.abs(matrix.conj().T @ matrix - eye)) <= atol)
+    return bool(np.max(np.abs(matrix.conj().T @ matrix - eye)) <= ATOL)
 
 
 @dataclass(frozen=True)
@@ -230,12 +230,6 @@ def prepare_state(amplitudes: np.ndarray) -> np.ndarray:
     return phase * (np.eye(v.size, dtype=complex) - 2.0 * np.outer(u, u.conj()) / uu)
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def hadamard_test(matrix: np.ndarray, part: str = "real",
                   shots: int | None = None, rng=None) -> float:
     """Estimate Re or Im of <0...0| U |0...0> with one ancilla.
@@ -269,5 +263,5 @@ def hadamard_test(matrix: np.ndarray, part: str = "real",
     if shots is None:
         return 2.0 * p0 - 1.0
     p0 = min(max(p0, 0.0), 1.0)
-    zeros = _as_rng(rng).binomial(shots, p0)
+    zeros = np.random.default_rng(rng).binomial(shots, p0)
     return 2.0 * zeros / shots - 1.0

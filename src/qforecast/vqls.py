@@ -106,8 +106,7 @@ class VqlsProblem:
         return self.decomposition.num_qubits
 
     @classmethod
-    def from_system(cls, a, b, prune_tol: float = pauli.DEFAULT_PRUNE_TOL,
-                    ) -> "VqlsProblem":
+    def from_system(cls, a, b) -> "VqlsProblem":
         a = np.asarray(a, dtype=complex)
         b = np.asarray(b, dtype=complex).ravel()
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -117,7 +116,7 @@ class VqlsProblem:
         b_norm = float(np.linalg.norm(b))
         if b_norm == 0.0:
             raise ValueError("right-hand side is zero")
-        decomposition = pauli.decompose(a, prune_tol=prune_tol)
+        decomposition = pauli.decompose(a)
         if not decomposition.terms:
             raise ValueError("matrix decomposed to nothing above the prune tolerance")
         b_state = b / b_norm
@@ -149,10 +148,11 @@ def _cost_from_state(problem: VqlsProblem, x: np.ndarray) -> float:
     return float(1.0 - overlap / denom)
 
 
-def cost(problem: VqlsProblem, theta, ansatz=None, estimator: str = "analytic",
+def cost(problem: VqlsProblem, theta, estimator: str = "analytic",
          shots: int | None = None, rng=None) -> float:
-    """Cost of the trial state at theta; 0 means A|x> is parallel to |b>."""
-    ansatz = ansatz or AnsatzSpec.default(problem.num_qubits)
+    """Cost of the default ansatz's state at theta; 0 means A|x> is
+    parallel to |b>."""
+    ansatz = AnsatzSpec.default(problem.num_qubits)
     if estimator == "analytic":
         return _cost_from_state(problem, ansatz_state(ansatz, theta))
     if estimator != "hadamard":
@@ -163,7 +163,7 @@ def cost(problem: VqlsProblem, theta, ansatz=None, estimator: str = "analytic",
         raise ValueError(f"the Hadamard estimator takes at most "
                          f"{1 << MAX_HADAMARD_QUBITS}x{1 << MAX_HADAMARD_QUBITS} "
                          f"systems, got {dim}x{dim}")
-    rng = qsim._as_rng(rng)
+    rng = np.random.default_rng(rng)
     v = qsim.circuit_unitary(ansatz_circuit(ansatz, theta))
     prep_adj = problem.prepare_b.conj().T
     alphas = [a for a, _ in problem.decomposition.terms]
@@ -274,8 +274,8 @@ def solve(problem: VqlsProblem, optimizer: str = "cobyla", seed: int = 0,
     shot_rng = np.random.default_rng(rng.integers(2 ** 63)) if sampled else None
 
     def objective(theta):
-        return cost(problem, theta, ansatz=ansatz, estimator=estimator,
-                    shots=shots, rng=shot_rng)
+        return cost(problem, theta, estimator=estimator, shots=shots,
+                    rng=shot_rng)
 
     grad = lambda t: optimize.finite_diff_gradient(objective, t)
     kappa = linsys.condition_number(problem.a_used)

@@ -127,6 +127,15 @@ class TestPreprocess:
         assert code == EXIT_INPUT_ERROR
         assert "error" in capsys.readouterr().err
 
+    def test_half_width_is_not_an_option(self, sales_csv, tmp_path, capsys):
+        out = str(tmp_path / "scaled.csv")
+        with pytest.raises(SystemExit) as info:
+            main(["preprocess", sales_csv, "--out", out,
+                  "--half-width", "0.5"])
+        assert info.value.code == EXIT_INPUT_ERROR
+        assert "unrecognized arguments: --half-width" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 class TestTrainBaseline:
     def test_linear_then_forecast_exact_on_trend(self, trend_csv, tmp_path,
@@ -375,6 +384,17 @@ class TestForecastSavedModel:
         assert "--out-dir is for the pipeline" in err
         assert out == ""
         assert not os.path.exists(out_dir)
+
+    def test_pqc_file_wider_than_the_qubit_cap(self, sales_csv, tmp_path,
+                                                capsys):
+        path = str(tmp_path / "wide.txt")
+        with open(path, "w") as fh:
+            fh.write("qforecast-model pqc 17\ntheta 68\n" + "0.0\n" * 68)
+        assert main(["forecast", sales_csv, "--model", path,
+                     "--split", SPLIT]) == EXIT_INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert path in err and "at most 16 qubits, got 17" in err
+        assert out == ""
 
     def test_unrecognized_model_file(self, trend_csv, tmp_path, capsys):
         bogus = str(tmp_path / "model.txt")

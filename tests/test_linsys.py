@@ -86,10 +86,6 @@ class TestScaler:
         with pytest.raises(ValueError):
             fit_scaler([0.0, 0.0])
 
-    def test_custom_half_width(self):
-        s = fit_scaler([2.0], half_width=1.0)
-        assert s.apply([2.0])[0] == pytest.approx(1.0)
-
 
 class TestWindows:
     def test_example_rows(self):

@@ -11,7 +11,6 @@ from qforecast.datagen import GeneratorConfig, generate, trending_series
 from qforecast.linsys import preprocess, read_series_csv
 from qforecast.pipeline import (
     KINDS,
-    PQC_MAX_WINDOW,
     ModelSpec,
     default_specs,
     fit,
@@ -82,10 +81,10 @@ class TestModelSpec:
     def test_pqc_window_too_wide_to_simulate_fails_at_construction(self):
         # a 30-qubit state would need 16 GiB; the spec refuses it before
         # any model of the run trains
-        for window in (PQC_MAX_WINDOW + 1, 30):
+        for window in (pqc.MAX_QUBITS + 1, 30):
             with pytest.raises(ValueError, match="pqc window must be at most 16"):
                 ModelSpec(kind="pqc", window=window)
-        assert ModelSpec(kind="pqc", window=PQC_MAX_WINDOW).window == 16
+        assert ModelSpec(kind="pqc", window=pqc.MAX_QUBITS).window == 16
         for kind in ("linear", "mlp"):
             assert ModelSpec(kind=kind, window=30).window == 30
 

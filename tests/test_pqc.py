@@ -33,6 +33,10 @@ class TestModelConstruction:
         with pytest.raises(ValueError):
             PqcModel(theta=np.zeros(10), num_qubits=12)
 
+    def test_rejects_more_qubits_than_the_cap(self):
+        with pytest.raises(ValueError, match="at most 16 qubits, got 17"):
+            PqcModel(theta=np.zeros(68), num_qubits=pqc.MAX_QUBITS + 1)
+
 
 def ry_circuit(window):
     """The angle encoding as gates: RY(x_i) on qubit i."""

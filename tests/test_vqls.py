@@ -113,12 +113,6 @@ class TestVqlsProblem:
         with pytest.raises(ValueError):
             VqlsProblem.from_system(np.eye(2), np.ones(4))
 
-    def test_prune_tol_shrinks_term_count(self):
-        a = np.eye(4) + 1e-8 * np.diag([1.0, -1.0, 1.0, -1.0])
-        loose = VqlsProblem.from_system(a, np.ones(4), prune_tol=1e-6)
-        tight = VqlsProblem.from_system(a, np.ones(4), prune_tol=1e-12)
-        assert len(loose.decomposition) < len(tight.decomposition)
-
 
 class TestCost:
     def test_zero_at_exact_solution_direction(self):
@@ -129,8 +123,7 @@ class TestCost:
 
     def test_identity_system_zero_theta(self):
         p = VqlsProblem.from_system(np.eye(4), np.array([1.0, 0, 0, 0]))
-        assert cost(p, np.zeros(12), ansatz=AnsatzSpec(2, 2)) == pytest.approx(
-            0.0, abs=1e-12)
+        assert cost(p, np.zeros(8)) == pytest.approx(0.0, abs=1e-12)
 
     def test_bounded_on_random_thetas(self):
         rng = np.random.default_rng(4)
