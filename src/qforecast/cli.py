@@ -8,6 +8,7 @@ finishes without reaching its convergence tolerance.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from datetime import date
 
@@ -307,6 +308,7 @@ def build_parser() -> _Parser:
     p.add_argument("--value-column", default=None)
     p.set_defaults(func=cmd_train_baseline)
 
+    solve_params = inspect.signature(vqls.solve).parameters
     p = sub.add_parser("solve-vqls",
                        help="variationally solve A x = b from CSV files")
     p.add_argument("--matrix", required=True,
@@ -314,8 +316,10 @@ def build_parser() -> _Parser:
     p.add_argument("--rhs", required=True, help="one value per line")
     p.add_argument("--optimizer", choices=optimize.METHODS, default="cobyla")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=5)
-    p.add_argument("--max-iters", type=int, default=2000)
+    p.add_argument("--restarts", type=int,
+                   default=solve_params["restarts"].default)
+    p.add_argument("--max-iters", type=int,
+                   default=solve_params["max_iters"].default)
     p.add_argument("--estimator", choices=("analytic", "hadamard"),
                    default="analytic")
     p.add_argument("--shots", type=int, default=None)
@@ -345,7 +349,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pqc-iters", type=int, default=0)
     p.add_argument("--vqls-iters", type=int, default=0)
-    p.add_argument("--vqls-restarts", type=int, default=5)
+    p.add_argument("--vqls-restarts", type=int, default=ModelSpec.restarts)
     p.add_argument("--mlp-epochs", type=int, default=0)
     p.add_argument("--value-column", default=None)
     p.set_defaults(func=cmd_forecast)

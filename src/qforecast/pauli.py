@@ -17,7 +17,6 @@ O(k 4**k) work, with no loop over the 4**k strings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -83,15 +82,6 @@ class PauliString:
     @property
     def num_qubits(self) -> int:
         return len(self.digits)
-
-
-def pauli_matrix(string) -> np.ndarray:
-    """Dense matrix of a Pauli string (label, digits, or PauliString)."""
-    if isinstance(string, str):
-        string = PauliString.from_label(string)
-    elif not isinstance(string, PauliString):
-        string = PauliString(tuple(string))
-    return reduce(np.kron, (SIGMA[d] for d in string.digits))
 
 
 @dataclass(frozen=True)

@@ -194,40 +194,41 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     return mat
 
 
+def apply_pauli(amplitudes: np.ndarray, digits) -> np.ndarray:
+    """P|v> as a new array, for the Pauli string with the given base-4
+    digits (one per qubit) and the amplitudes of |v>."""
+    buf = np.array(amplitudes, dtype=complex)
+    for qubit, d in enumerate(digits):
+        if d:
+            m = pauli.SIGMA[d]
+            backend.apply_single_qubit(buf, len(digits), qubit,
+                                       m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+    return buf
+
+
 def expectation(state: Statevector, label: str) -> float:
     """<state| P |state> for the Pauli string with the given label, e.g. "ZI"."""
     digits = pauli.PauliString.from_label(label).digits
     if len(digits) != state.num_qubits:
         raise ValueError(f"label {label!r} has {len(digits)} qubits, "
                          f"state has {state.num_qubits}")
-    buf = np.array(state.amplitudes, dtype=complex)
-    for qubit, d in enumerate(digits):
-        if d:
-            m = pauli.SIGMA[d]
-            backend.apply_single_qubit(buf, state.num_qubits, qubit,
-                                       m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-    value = np.vdot(state.amplitudes, buf)
+    value = np.vdot(state.amplitudes, apply_pauli(state.amplitudes, digits))
     return float(value.real)
 
 
-def prepare_state(amplitudes: np.ndarray) -> np.ndarray:
-    """Unitary whose first column is the given unit vector.
+def ancilla_estimate(p0, shots: int | None = None, rng=None):
+    """The Hadamard-test estimate 2 P(0) - 1 from the ancilla's probability
+    p0 of reading 0, or from an array of them.
 
-    Householder construction: with a = arg(v[0]) and u = v - e^{ia} e0,
-    U = e^{ia} (I - 2 u u^dag / u^dag u) maps e0 to v exactly.
+    Exact mode (shots=None) uses p0 itself; sampled mode draws `shots`
+    Bernoulli trials per probability, in order, from one generator.
     """
-    v = np.array(amplitudes, dtype=complex)
-    if v.ndim != 1 or v.size == 0 or v.size & (v.size - 1):
-        raise ValueError(f"amplitude length {v.size} is not a power of two")
-    if abs(np.linalg.norm(v) - 1.0) > NORM_ATOL:
-        raise ValueError("amplitudes are not unit norm")
-    phase = cmath.exp(1j * cmath.phase(v[0])) if abs(v[0]) > 0 else 1.0
-    u = v.copy()
-    u[0] -= phase
-    uu = np.vdot(u, u).real
-    if uu < 1e-24:
-        return phase * np.eye(v.size, dtype=complex)
-    return phase * (np.eye(v.size, dtype=complex) - 2.0 * np.outer(u, u.conj()) / uu)
+    if shots is None:
+        return 2.0 * p0 - 1.0
+    if shots <= 0:
+        raise ValueError(f"shots must be positive, got {shots}")
+    zeros = np.random.default_rng(rng).binomial(shots, np.clip(p0, 0.0, 1.0))
+    return 2.0 * zeros / shots - 1.0
 
 
 def hadamard_test(matrix: np.ndarray, part: str = "real",
@@ -244,8 +245,6 @@ def hadamard_test(matrix: np.ndarray, part: str = "real",
         raise ValueError("matrix is not unitary within 1e-10")
     if part not in ("real", "imaginary"):
         raise ValueError(f"part must be 'real' or 'imaginary', got {part!r}")
-    if shots is not None and shots <= 0:
-        raise ValueError(f"shots must be positive, got {shots}")
     dim = u.shape[0]
     # Ancilla is the new MSB, so the register splits into contiguous halves.
     buf = np.zeros(2 * dim, dtype=complex)
@@ -260,8 +259,4 @@ def hadamard_test(matrix: np.ndarray, part: str = "real",
     backend.apply_single_qubit(buf, num_qubits, 0,
                                _H[0, 0], _H[0, 1], _H[1, 0], _H[1, 1])
     p0 = float(np.sum(np.abs(buf[:dim]) ** 2))
-    if shots is None:
-        return 2.0 * p0 - 1.0
-    p0 = min(max(p0, 0.0), 1.0)
-    zeros = np.random.default_rng(rng).binomial(shots, p0)
-    return 2.0 * zeros / shots - 1.0
+    return float(ancilla_estimate(p0, shots, rng))

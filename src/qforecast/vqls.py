@@ -8,7 +8,13 @@ with a layered hardware-style ansatz and minimizes
 which is zero exactly when A|x> is parallel to |b>.
 
 Cost terms can be evaluated analytically or through Hadamard-test
-estimators (exact or shot-sampled) over the retained Pauli terms.
+estimators (exact or shot-sampled) over the n retained Pauli terms P_i.
+The Hadamard estimator runs the ansatz once for x = |x(theta)> and applies
+each P_i to x. A test of U on |0> reads ancilla 0 with probability
+(1 + Re<0|U|0>)/2, so the 2n overlap tests (Re and Im of <b|P_i|x>) and
+the n^2 normalization tests (Re <P_i x|P_j x>) each get their outcome from
+that probability through qsim.ancilla_estimate, the law qsim.hadamard_test
+uses.
 
 Solutions of real systems are snapped to a real representative after
 optimization when that does not hurt the cost: the global phase of
@@ -32,9 +38,6 @@ from . import linsys, optimize, pauli, qsim
 
 DEFAULT_COST_TOL = 1e-3
 DEFAULT_EPSILON = 1e-3  # trace distance an exact solve certifies before stopping
-# The Hadamard estimator builds every retained term as a dense matrix and
-# runs n^2 tests for n terms, so it refuses systems above 64x64.
-MAX_HADAMARD_QUBITS = 6
 
 
 def default_layers(num_qubits: int) -> int:
@@ -93,13 +96,12 @@ def ansatz_state(spec: AnsatzSpec, theta) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VqlsProblem:
-    """A Pauli-decomposed system A w = b with its prepared right-hand side."""
+    """A Pauli-decomposed system A w = b with its normalized right-hand side."""
 
     decomposition: pauli.PauliDecomposition
     b_state: np.ndarray
     b_norm: float
     a_used: np.ndarray      # reconstruction of the retained terms
-    prepare_b: np.ndarray   # unitary with first column b_state
 
     @property
     def num_qubits(self) -> int:
@@ -123,20 +125,8 @@ class VqlsProblem:
         b_state.setflags(write=False)
         a_used = pauli.reconstruct(decomposition)
         a_used.setflags(write=False)
-        prep = qsim.prepare_state(b_state)
-        prep.setflags(write=False)
         return cls(decomposition=decomposition, b_state=b_state, b_norm=b_norm,
-                   a_used=a_used, prepare_b=prep)
-
-
-def _pauli_unitaries(problem: VqlsProblem) -> list[np.ndarray]:
-    return [pauli.pauli_matrix(s) for _, s in problem.decomposition.terms]
-
-
-def _hadamard_complex(u, shots, rng) -> complex:
-    real = qsim.hadamard_test(u, part="real", shots=shots, rng=rng)
-    imag = qsim.hadamard_test(u, part="imaginary", shots=shots, rng=rng)
-    return complex(real, imag)
+                   a_used=a_used)
 
 
 def _cost_from_state(problem: VqlsProblem, x: np.ndarray) -> float:
@@ -152,35 +142,28 @@ def cost(problem: VqlsProblem, theta, estimator: str = "analytic",
          shots: int | None = None, rng=None) -> float:
     """Cost of the default ansatz's state at theta; 0 means A|x> is
     parallel to |b>."""
-    ansatz = AnsatzSpec.default(problem.num_qubits)
-    if estimator == "analytic":
-        return _cost_from_state(problem, ansatz_state(ansatz, theta))
-    if estimator != "hadamard":
+    if estimator not in ("analytic", "hadamard"):
         raise ValueError(f"estimator must be 'analytic' or 'hadamard', "
                          f"got {estimator!r}")
-    if problem.num_qubits > MAX_HADAMARD_QUBITS:
-        dim = 1 << problem.num_qubits
-        raise ValueError(f"the Hadamard estimator takes at most "
-                         f"{1 << MAX_HADAMARD_QUBITS}x{1 << MAX_HADAMARD_QUBITS} "
-                         f"systems, got {dim}x{dim}")
-    rng = np.random.default_rng(rng)
-    v = qsim.circuit_unitary(ansatz_circuit(ansatz, theta))
-    prep_adj = problem.prepare_b.conj().T
-    alphas = [a for a, _ in problem.decomposition.terms]
-    mats = _pauli_unitaries(problem)
-    overlap = complex(0.0)
-    for a, m in zip(alphas, mats):
-        overlap += a * _hadamard_complex(prep_adj @ m @ v, shots, rng)
-    numerator = abs(overlap) ** 2
-    denom = 0.0
-    v_adj = v.conj().T
-    for ai, mi in zip(alphas, mats):
-        for aj, mj in zip(alphas, mats):
-            denom += ai * aj * qsim.hadamard_test(v_adj @ mi @ mj @ v, part="real",
-                                                  shots=shots, rng=rng)
+    x = ansatz_state(AnsatzSpec.default(problem.num_qubits), theta)
+    if estimator == "analytic":
+        return _cost_from_state(problem, x)
+    alphas = np.array([a for a, _ in problem.decomposition.terms])
+    px = np.array([qsim.apply_pauli(x, s.digits)
+                   for _, s in problem.decomposition.terms])
+    overlaps = px @ problem.b_state.conj()   # <b|P_i|x>
+    gram = (px.conj() @ px.T).real           # Re <x|P_i P_j|x>
+    # the tests in the order a circuit would run them: Re then Im of each
+    # overlap, then the normalization pairs row by row
+    values = np.concatenate([np.column_stack([overlaps.real, overlaps.imag]).ravel(),
+                             gram.ravel()])
+    outcomes = qsim.ancilla_estimate((1.0 + values) / 2.0, shots, rng)
+    n = len(alphas)
+    overlap = alphas @ (outcomes[0:2 * n:2] + 1j * outcomes[1:2 * n:2])
+    denom = alphas @ outcomes[2 * n:].reshape(n, n) @ alphas
     if denom <= 1e-12:
         return 1.0
-    return float(1.0 - numerator / denom)
+    return float(1.0 - abs(overlap) ** 2 / denom)
 
 
 def canonical_phase(state: np.ndarray) -> np.ndarray:
@@ -264,10 +247,13 @@ def solve(problem: VqlsProblem, optimizer: str = "cobyla", seed: int = 0,
     not singular, a restart stops at the first cost <= DEFAULT_EPSILON^2 /
     kappa^2, which certifies a trace distance of at most DEFAULT_EPSILON,
     and the remaining restarts are skipped. The analytic estimator ignores
-    shots, so its solves do not depend on them.
+    shots, so its solves do not depend on them; shots below 1 are refused
+    whatever the estimator.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if shots is not None and shots < 1:
+        raise ValueError(f"shots must be positive, got {shots}")
     ansatz = AnsatzSpec.default(problem.num_qubits)
     rng = np.random.default_rng(seed)
     sampled = estimator == "hadamard" and shots is not None

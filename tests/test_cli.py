@@ -1,15 +1,17 @@
+import inspect
 import os
 from datetime import date
 
 import numpy as np
 import pytest
 
-from qforecast import baselines, pqc
+from qforecast import baselines, pqc, vqls
 from qforecast.modelfile import save_model
 from qforecast.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
+    build_parser,
     load_any_model,
     main,
     read_matrix_csv,
@@ -262,17 +264,30 @@ class TestSolveVqls:
             assert out == ""
             assert "restarts must be at least 1, got %s" % restarts in err
 
-    def test_hadamard_estimator_above_64_fails_before_any_solve(self, tmp_path, capsys):
+    def test_bad_shots_fail_before_any_solve(self, tmp_path, capsys):
+        # the analytic estimator ignores shots, but a bad count is still
+        # refused before the first restart
+        a_path, b_path = spd_system(tmp_path)
+        for shots in ("0", "-5"):
+            code = main(["solve-vqls", "--matrix", a_path, "--rhs", b_path,
+                         "--shots", shots])
+            assert code == EXIT_INPUT_ERROR
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "shots must be positive, got %s" % shots in err
+
+    def test_hadamard_estimator_solves_128x128(self, tmp_path, capsys):
         a_path = str(tmp_path / "A.csv")
         b_path = str(tmp_path / "b.csv")
         np.savetxt(a_path, np.diag(np.arange(1.0, 129.0)), delimiter=",")
         np.savetxt(b_path, np.ones(128))
         code = main(["solve-vqls", "--matrix", a_path, "--rhs", b_path,
-                     "--estimator", "hadamard"])
-        assert code == EXIT_INPUT_ERROR
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "at most 64x64 systems, got 128x128" in err
+                     "--estimator", "hadamard", "--restarts", "1",
+                     "--max-iters", "20"])
+        assert code in (EXIT_OK, EXIT_NOT_CONVERGED)
+        out = capsys.readouterr().out
+        assert "w[127] = " in out
+        assert "evaluations 20" in out
 
     def test_zero_budget_names_the_value(self, tmp_path, capsys):
         a_path, b_path = spd_system(tmp_path)
@@ -454,3 +469,14 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as info:
             main(["forecast", sales_csv, "--split", "not-a-date"])
         assert info.value.code == EXIT_INPUT_ERROR
+
+
+class TestParserDefaults:
+    def test_solver_defaults_are_their_owners(self):
+        parser = build_parser()
+        solve = inspect.signature(vqls.solve).parameters
+        args = parser.parse_args(["solve-vqls", "--matrix", "A.csv", "--rhs", "b.csv"])
+        assert args.restarts == solve["restarts"].default
+        assert args.max_iters == solve["max_iters"].default
+        args = parser.parse_args(["forecast", "series.csv"])
+        assert args.vqls_restarts == ModelSpec.restarts

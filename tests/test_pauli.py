@@ -1,5 +1,7 @@
 """Pauli decomposition tests: orthogonality, round trips, worked indices."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qforecast.pauli import (PauliDecomposition, PauliString, SIGMA, base4_digits,
-                             decompose, pauli_matrix, reconstruct)
+                             decompose, reconstruct)
+
+
+def pauli_matrix(string) -> np.ndarray:
+    """The oracle's dense Kronecker product of a Pauli string, given as a
+    label or a PauliString."""
+    if isinstance(string, str):
+        string = PauliString.from_label(string)
+    return reduce(np.kron, (SIGMA[d] for d in string.digits))
 
 
 def random_hermitian(rng, dim):

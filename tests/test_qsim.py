@@ -1,13 +1,14 @@
 """Statevector simulator tests against explicit kron-product oracles."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from qforecast import qsim
-from qforecast.qsim import (Circuit, Gate, Statevector, circuit_unitary, expectation,
-                            hadamard_test, prepare_state, run_circuit)
+from qforecast.qsim import (Circuit, Gate, Statevector, ancilla_estimate, apply_pauli,
+                            circuit_unitary, expectation, hadamard_test, run_circuit)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -256,6 +257,8 @@ class TestExpectation:
             label = "".join("IXYZ"[d] for d in digits)
             s = random_state(rng, k)
             mat = kron_all(*[[I2, X, Y, Z][d] for d in digits])
+            assert np.allclose(apply_pauli(s.amplitudes, digits), mat @ s.amplitudes,
+                               atol=1e-12)
             want = np.vdot(s.amplitudes, mat @ s.amplitudes).real
             assert expectation(s, label) == pytest.approx(want, abs=1e-10)
             assert -1.0 - 1e-12 <= expectation(s, label) <= 1.0 + 1e-12
@@ -263,6 +266,24 @@ class TestExpectation:
     def test_label_length_mismatch(self):
         with pytest.raises(ValueError):
             expectation(Statevector.zero(2), "Z")
+
+
+def prepare_state(amplitudes: np.ndarray) -> np.ndarray:
+    """The oracle's unitary whose first column is the given unit vector.
+
+    Householder construction: with a = arg(v[0]) and u = v - e^{ia} e0,
+    U = e^{ia} (I - 2 u u^dag / u^dag u) maps e0 to v exactly.
+    """
+    v = np.array(amplitudes, dtype=complex)
+    if abs(np.linalg.norm(v) - 1.0) > qsim.NORM_ATOL:
+        raise ValueError("amplitudes are not unit norm")
+    phase = cmath.exp(1j * cmath.phase(v[0])) if abs(v[0]) > 0 else 1.0
+    u = v.copy()
+    u[0] -= phase
+    uu = np.vdot(u, u).real
+    if uu < 1e-24:
+        return phase * np.eye(v.size, dtype=complex)
+    return phase * (np.eye(v.size, dtype=complex) - 2.0 * np.outer(u, u.conj()) / uu)
 
 
 class TestPrepareState:
@@ -338,6 +359,14 @@ class TestHadamardTest:
         a = hadamard_test(ry(0.9), shots=1000, rng=123)
         b = hadamard_test(ry(0.9), shots=1000, rng=123)
         assert a == b
+
+    def test_outcomes_of_many_tests_are_drawn_in_order(self):
+        p0 = np.array([0.3, 1.0, 0.0, 0.85, 0.5])
+        assert np.array_equal(ancilla_estimate(p0), 2.0 * p0 - 1.0)
+        one_by_one = np.random.default_rng(9)
+        want = [ancilla_estimate(p, shots=100, rng=one_by_one) for p in p0]
+        assert np.array_equal(ancilla_estimate(p0, shots=100, rng=9), want)
+        assert want[1] == 1.0 and want[2] == -1.0
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

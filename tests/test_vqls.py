@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qforecast import qsim, vqls
 from qforecast.linsys import build_windows, fit_scaler, normal_equations, predict_next
@@ -11,6 +14,8 @@ from qforecast.qsim import circuit_unitary
 from qforecast.vqls import (AnsatzSpec, VqlsProblem, ansatz_circuit, ansatz_state,
                             canonical_phase, cost, realign_to_real,
                             rescale, solve)
+from test_pauli import pauli_matrix
+from test_qsim import prepare_state
 
 
 def ry(t):
@@ -40,6 +45,47 @@ def easy_spd(rng, dim=4):
     while np.linalg.norm(b) < 0.1:
         b = rng.uniform(-1, 1, size=dim)
     return a, b
+
+
+def dense_hadamard_cost(problem, theta, shots=None, rng=None):
+    """The oracle: every Hadamard test of the cost run by qsim.hadamard_test
+    on its dense unitary, built from the ansatz's circuit_unitary, a
+    Householder prepare-b and Kronecker Pauli matrices."""
+    rng = np.random.default_rng(rng)
+    v = circuit_unitary(ansatz_circuit(AnsatzSpec.default(problem.num_qubits), theta))
+    prep_adj = prepare_state(problem.b_state).conj().T
+    alphas = [a for a, _ in problem.decomposition.terms]
+    mats = [pauli_matrix(s) for _, s in problem.decomposition.terms]
+    overlap = 0j
+    for a, m in zip(alphas, mats):
+        u = prep_adj @ m @ v
+        overlap += a * complex(qsim.hadamard_test(u, "real", shots, rng),
+                               qsim.hadamard_test(u, "imaginary", shots, rng))
+    denom = 0.0
+    for ai, mi in zip(alphas, mats):
+        for aj, mj in zip(alphas, mats):
+            denom += ai * aj * qsim.hadamard_test(v.conj().T @ mi @ mj @ v,
+                                                  shots=shots, rng=rng)
+    if denom <= 1e-12:
+        return 1.0
+    return float(1.0 - abs(overlap) ** 2 / denom)
+
+
+@st.composite
+def hadamard_cases(draw):
+    """A complex Hermitian A, a weighted sum of up to 8 Pauli strings on 1-4
+    qubits; a complex b; and a theta for the default ansatz."""
+    k = draw(st.integers(1, 4))
+    labels = draw(st.lists(st.text("IXYZ", min_size=k, max_size=k),
+                           min_size=1, max_size=8, unique=True))
+    weight = st.floats(0.1, 2.0) | st.floats(-2.0, -0.1)
+    a = sum(draw(weight) * pauli_matrix(label) for label in labels)
+    parts = hnp.arrays(np.float64, 1 << k, elements=st.floats(-1.0, 1.0))
+    b = draw(parts) + 1j * draw(parts)
+    assume(np.linalg.norm(b) >= 0.1)
+    theta = draw(hnp.arrays(np.float64, AnsatzSpec.default(k).num_parameters,
+                            elements=st.floats(0.0, 2 * math.pi)))
+    return VqlsProblem.from_system(a, b), theta
 
 
 class TestAnsatzSpec:
@@ -94,12 +140,6 @@ class TestVqlsProblem:
         assert p.b_norm == pytest.approx(3.0)
         assert np.allclose(p.b_state, [1.0, 0.0])
 
-    def test_prepare_b_first_column(self):
-        rng = np.random.default_rng(2)
-        a, b = easy_spd(rng)
-        p = VqlsProblem.from_system(a, b)
-        assert np.allclose(p.prepare_b[:, 0], p.b_state, atol=1e-10)
-
     def test_rejects_zero_b(self):
         with pytest.raises(ValueError):
             VqlsProblem.from_system(np.eye(2), np.zeros(2))
@@ -143,6 +183,30 @@ class TestCost:
             assert cost(p, theta) == pytest.approx(
                 cost(p, theta, estimator="hadamard"), abs=1e-10)
 
+    @given(hadamard_cases())
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_exact_hadamard_matches_the_dense_oracle(self, case):
+        p, theta = case
+        got = cost(p, theta, estimator="hadamard")
+        assert abs(got - dense_hadamard_cost(p, theta)) <= 1e-12
+        assert abs(got - cost(p, theta)) <= 1e-10
+
+    def test_sampled_hadamard_matches_the_dense_oracle_in_distribution(self):
+        # the same ancilla law on the same probabilities, so the two sampled
+        # costs share one distribution; the draws differ, because a test with
+        # p0 exactly 1 draws no uniform here and does in the oracle
+        rng = np.random.default_rng(12)
+        a = 2.0 * np.eye(4) + 0.5 * pauli_matrix("XZ") + 0.3 * pauli_matrix("YY")
+        p = VqlsProblem.from_system(a, rng.normal(size=4) + 1j * rng.normal(size=4))
+        theta = rng.uniform(0, 2 * math.pi, size=8)
+        got = np.array([cost(p, theta, estimator="hadamard", shots=100, rng=rng)
+                        for _ in range(400)])
+        want = np.array([dense_hadamard_cost(p, theta, shots=100, rng=rng)
+                         for _ in range(400)])
+        se = math.sqrt((got.var() + want.var()) / 400)
+        assert abs(got.mean() - want.mean()) <= 4 * se
+        assert 0.8 <= got.std() / want.std() <= 1.25
+
     def test_sampled_hadamard_near_exact(self):
         p = VqlsProblem.from_system(np.diag([1.0, 2.0]), np.array([1.0, 1.0]))
         theta = np.array([0.7, 0.0, 0.3, 0.0])
@@ -169,30 +233,37 @@ class TestCost:
         p = VqlsProblem.from_system(a, b)
         theta = rng.uniform(0, 2 * math.pi, size=8)
         before = cost(p, theta, estimator="hadamard")
-        parts = []
-        hadamard_test = qsim.hadamard_test
+        seen = []
+        ancilla_estimate = qsim.ancilla_estimate
 
-        def counted(u, part="real", **kwargs):
-            parts.append(part)
-            return hadamard_test(u, part=part, **kwargs)
+        def counted(p0, shots=None, rng=None):
+            seen.append(np.ravel(p0))
+            return ancilla_estimate(p0, shots, rng)
 
-        monkeypatch.setattr(qsim, "hadamard_test", counted)
+        monkeypatch.setattr(qsim, "ancilla_estimate", counted)
         assert cost(p, theta, estimator="hadamard") == before
+        p0 = np.concatenate(seen)
         n = len(p.decomposition)
-        assert len(parts) == 2 * n + n * n
-        assert parts.count("imaginary") == n
+        assert p0.size == 2 * n + n * n
+        # Re then Im of each overlap <b|P_i|x>: n of the tests are imaginary
+        x = ansatz_state(AnsatzSpec.default(2), theta)
+        overlaps = np.array([np.vdot(p.b_state, pauli_matrix(s) @ x)
+                             for _, s in p.decomposition.terms])
+        assert np.allclose(2 * p0[0:2 * n:2] - 1, overlaps.real, atol=1e-12)
+        assert np.allclose(2 * p0[1:2 * n:2] - 1, overlaps.imag, atol=1e-12)
 
     def test_rejects_unknown_estimator(self):
         p = VqlsProblem.from_system(np.eye(2), np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             cost(p, np.zeros(4), estimator="direct")
 
-    def test_hadamard_estimator_refuses_systems_above_64(self):
+    def test_hadamard_estimator_runs_128x128(self):
         p = VqlsProblem.from_system(np.diag(np.arange(1.0, 129.0)), np.ones(128))
-        theta = np.zeros(AnsatzSpec.default(7).num_parameters)
-        with pytest.raises(ValueError, match="at most 64x64 systems, got 128x128"):
-            cost(p, theta, estimator="hadamard")
-        assert 0.0 <= cost(p, theta) <= 1.0
+        theta = np.random.default_rng(14).uniform(
+            0, 2 * math.pi, size=AnsatzSpec.default(7).num_parameters)
+        got = cost(p, theta, estimator="hadamard")
+        assert abs(got - cost(p, theta)) <= 1e-12
+        assert abs(got - dense_hadamard_cost(p, theta)) <= 1e-12
 
 
 class TestRealign:
