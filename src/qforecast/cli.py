@@ -289,7 +289,8 @@ def build_parser() -> _Parser:
     p.add_argument("--trace-out", default=None)
     p.add_argument("--window", type=int, default=0)
     p.add_argument("--split", type=_iso_date, default=DEFAULT_SPLIT)
-    p.add_argument("--optimizer", choices=optimize.METHODS, default="cobyla")
+    p.add_argument("--optimizer", choices=optimize.METHODS,
+                   default=ModelSpec.optimizer)
     p.add_argument("--max-iters", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--value-column", default=None)
@@ -314,14 +315,15 @@ def build_parser() -> _Parser:
     p.add_argument("--matrix", required=True,
                    help="comma-separated rows, no header")
     p.add_argument("--rhs", required=True, help="one value per line")
-    p.add_argument("--optimizer", choices=optimize.METHODS, default="cobyla")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--optimizer", choices=optimize.METHODS,
+                   default=solve_params["optimizer"].default)
+    p.add_argument("--seed", type=int, default=solve_params["seed"].default)
     p.add_argument("--restarts", type=int,
                    default=solve_params["restarts"].default)
     p.add_argument("--max-iters", type=int,
                    default=solve_params["max_iters"].default)
     p.add_argument("--estimator", choices=("analytic", "hadamard"),
-                   default="analytic")
+                   default=solve_params["estimator"].default)
     p.add_argument("--shots", type=int, default=None)
     p.add_argument("--trace-out", default=None)
     p.set_defaults(func=cmd_solve_vqls)

@@ -103,14 +103,23 @@ def predict(model: PqcModel, window) -> float:
 
 def predict_batch(model: PqcModel, windows) -> np.ndarray:
     """<Z_0> per window: one circuit for theta, run on each encoded window."""
+    windows = _checked_windows(model, windows)
+    circuit = model_circuit(model)
+    readout = _readout(model)
+    return np.array([qsim.expectation(qsim.run_circuit(circuit, encode(w)),
+                                      readout) for w in windows])
+
+
+def _checked_windows(model: PqcModel, windows) -> np.ndarray:
     windows = np.atleast_2d(np.asarray(windows, dtype=float))
     if windows.shape[1] != model.num_qubits:
         raise ValueError(f"window length {windows.shape[1]} != "
                          f"{model.num_qubits} qubits")
-    circuit = model_circuit(model)
-    readout = "Z" + "I" * (model.num_qubits - 1)
-    return np.array([qsim.expectation(qsim.run_circuit(circuit, encode(w)),
-                                      readout) for w in windows])
+    return windows
+
+
+def _readout(model: PqcModel) -> str:
+    return "Z" + "I" * (model.num_qubits - 1)
 
 
 def loss(model: PqcModel, windows, labels) -> float:
@@ -129,9 +138,20 @@ def gradient(model: PqcModel, windows, labels,
     parameter-shift evaluates predictions at theta_p +- pi/2 and chains the
     exact derivative through the squared loss; finite-difference applies
     central differences to the loss itself.
+
+    The gates before theta_p's gate are the same in both shifted circuits
+    and in the unshifted one, so each window runs the circuit once, and
+    theta_p's two branches start from a copy of that forward state at
+    theta_p's gate. A circuit of G gates whose P rotations sit at
+    positions g_p applies G + 2 * sum(G - g_p) gates per window, where
+    2P + 1 whole circuits would apply (2P + 1) * G: 2,700 instead of 5,820
+    at 12 qubits. Every value is the one the whole shifted circuits give,
+    bit for bit.
     """
-    windows = np.atleast_2d(np.asarray(windows, dtype=float))
+    windows = _checked_windows(model, windows)
     labels = np.asarray(labels, dtype=float).ravel()
+    if len(windows) != labels.size:
+        raise ValueError(f"{len(windows)} windows but {labels.size} labels")
     if method == "finite-difference":
         return optimize.finite_diff_gradient(
             lambda theta: loss(model.with_theta(theta), windows, labels),
@@ -139,16 +159,40 @@ def gradient(model: PqcModel, windows, labels,
     if method != "parameter-shift":
         raise ValueError(f"method must be 'parameter-shift' or "
                          f"'finite-difference', got {method!r}")
-    preds = predict_batch(model, windows)
+    k = model.num_qubits
+    gates = model_circuit(model).gates
+    # the p-th rotation gate carries theta_p
+    starts = [i for i, gate in enumerate(gates) if gate.name != "cnot"]
+    bounds = [0, *starts, len(gates)]
+    forward = [_circuit(k, gates[a:b]) for a, b in zip(bounds, bounds[1:])]
+    shifted = [[_circuit(k, [replace(gates[i], angle=gates[i].angle + step),
+                             *gates[i + 1:]])
+                for step in (math.pi / 2, -math.pi / 2)] for i in starts]
+    readout = _readout(model)
+    preds = np.empty(len(windows))
+    up = np.empty((len(starts), len(windows)))
+    down = np.empty_like(up)
+    for w, window in enumerate(windows):
+        state = encode(window)
+        for p, (segment, (plus, minus)) in enumerate(zip(forward, shifted)):
+            state = qsim.run_circuit(segment, state)
+            up[p, w] = qsim.expectation(qsim.run_circuit(plus, state), readout)
+            down[p, w] = qsim.expectation(qsim.run_circuit(minus, state),
+                                          readout)
+        preds[w] = qsim.expectation(qsim.run_circuit(forward[-1], state),
+                                    readout)
     residual = 2.0 * (preds - labels) / labels.size
     grad = np.empty(model.num_parameters)
     for p in range(model.num_parameters):
-        shift = np.zeros(model.num_parameters)
-        shift[p] = math.pi / 2
-        up = predict_batch(model.with_theta(model.theta + shift), windows)
-        down = predict_batch(model.with_theta(model.theta - shift), windows)
-        grad[p] = float(residual @ ((up - down) / 2.0))
+        grad[p] = float(residual @ ((up[p] - down[p]) / 2.0))
     return grad
+
+
+def _circuit(num_qubits: int, gates) -> qsim.Circuit:
+    circuit = qsim.Circuit(num_qubits)
+    for gate in gates:
+        circuit.add(gate)
+    return circuit
 
 
 @dataclass

@@ -476,7 +476,24 @@ class TestParserDefaults:
         parser = build_parser()
         solve = inspect.signature(vqls.solve).parameters
         args = parser.parse_args(["solve-vqls", "--matrix", "A.csv", "--rhs", "b.csv"])
-        assert args.restarts == solve["restarts"].default
-        assert args.max_iters == solve["max_iters"].default
+        for name in ("optimizer", "seed", "restarts", "max_iters", "estimator"):
+            assert getattr(args, name) == solve[name].default, name
         args = parser.parse_args(["forecast", "series.csv"])
         assert args.vqls_restarts == ModelSpec.restarts
+        args = parser.parse_args(["train-pqc", "series.csv", "--model-out", "m"])
+        assert args.optimizer == ModelSpec.optimizer
+
+    def test_defaults_follow_their_owners(self, monkeypatch):
+        # a changed owner default reaches the parser without an edit there
+        changed = {"optimizer": "lbfgs", "seed": 7, "restarts": 3,
+                   "max_iters": 50, "estimator": "hadamard"}
+        params = inspect.signature(vqls.solve).parameters.values()
+        monkeypatch.setattr(vqls.solve, "__defaults__", tuple(
+            changed.get(p.name, p.default) for p in params
+            if p.default is not p.empty))
+        monkeypatch.setattr(ModelSpec, "optimizer", "lbfgs")
+        parser = build_parser()
+        args = parser.parse_args(["solve-vqls", "--matrix", "A.csv", "--rhs", "b.csv"])
+        assert {name: getattr(args, name) for name in changed} == changed
+        args = parser.parse_args(["train-pqc", "series.csv", "--model-out", "m"])
+        assert args.optimizer == "lbfgs"

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qforecast import pqc, qsim
 from qforecast.modelfile import load_any_model
@@ -260,6 +263,44 @@ class TestGradient:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             gradient(small_model(), np.zeros((1, 4)), [0.0], method="spsa")
+
+    @pytest.mark.parametrize("method", ["parameter-shift", "finite-difference"])
+    def test_length_mismatch_before_any_circuit(self, monkeypatch, method):
+        def no_circuits(*args):
+            raise AssertionError("a circuit ran")
+
+        monkeypatch.setattr(qsim, "run_circuit", no_circuits)
+        with pytest.raises(ValueError, match="4 windows but 1 labels"):
+            gradient(small_model(), np.zeros((4, 4)), [0.0], method=method)
+
+    @given(data=st.data(), k=st.integers(1, 5))
+    @settings(max_examples=50, deadline=None)
+    def test_equals_the_full_circuit_oracle(self, data, k):
+        # k = 1 and 2 have degenerate entangler patterns
+        angles = st.floats(-math.pi, math.pi)
+        theta = data.draw(hnp.arrays(float, 4 * k, elements=angles))
+        count = data.draw(st.integers(1, 3))
+        windows = data.draw(hnp.arrays(float, (count, k), elements=angles))
+        labels = data.draw(hnp.arrays(float, count, elements=st.floats(-1, 1)))
+        m = PqcModel(theta=theta, num_qubits=k)
+        want = full_circuit_gradient(m, windows, labels)
+        assert gradient(m, windows, labels).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_gates_applied_twelve_qubits(self, monkeypatch, count):
+        # 60 forward gates, and each of the 48 rotations at position g runs
+        # its two shifted branches over the last 60 - g gates
+        applied = []
+        run = qsim.run_circuit
+
+        def counting(circuit, initial=None):
+            applied.append(len(circuit.gates))
+            return run(circuit, initial)
+
+        monkeypatch.setattr(qsim, "run_circuit", counting)
+        windows = np.random.default_rng(count).uniform(-0.25, 0.25, size=(count, 12))
+        gradient(PqcModel.initialized(), windows, np.zeros(count))
+        assert sum(applied) == 2700 * count
 
 
 class TestTrain:
