@@ -1,9 +1,10 @@
 """Statevector gate kernels in plain numpy.
 
 Both kernels mutate the amplitude buffer in place and assume a C-contiguous
-complex128 array of length 2**num_qubits. Qubit 0 is the most significant
-bit of the basis index, so reshaping to (2,) * num_qubits puts qubit q on
-axis q.
+complex128 array whose last axis has length 2**num_qubits; any leading axes
+hold a batch of states, each of which gets the gate. Qubit 0 is the most
+significant bit of the basis index, so reshaping to (-1,) + (2,) * num_qubits
+puts qubit q on axis q + 1.
 """
 
 import numpy as np
@@ -21,12 +22,12 @@ def apply_single_qubit(psi, num_qubits, qubit, m00, m01, m10, m11):
 
 
 def apply_cnot(psi, num_qubits, control, target):
-    view = psi.reshape((2,) * num_qubits)
-    on = [slice(None)] * num_qubits
-    on[control] = 1
+    view = psi.reshape((-1,) + (2,) * num_qubits)
+    on = [slice(None)] * (num_qubits + 1)
+    on[1 + control] = 1
     flipped = list(on)
-    on[target] = 0
-    flipped[target] = 1
+    on[1 + target] = 0
+    flipped[1 + target] = 1
     on = tuple(on)
     flipped = tuple(flipped)
     tmp = np.copy(view[on])

@@ -68,10 +68,18 @@ class PqcModel:
 def encode(window) -> qsim.Statevector:
     """RY(x_0) ... RY(x_{k-1}) |0...0>, multiplied out from qubit 0 as the
     gates would: the same bits, up to the sign of an exact zero."""
-    amps = np.ones(1)
-    for half in np.asarray(window, dtype=float) / 2:
-        amps = np.outer(amps, (math.cos(half), math.sin(half))).ravel()
-    return qsim.Statevector(amps)
+    return qsim.Statevector(_product_states(np.reshape(window, (1, -1)))[0])
+
+
+def _product_states(windows: np.ndarray) -> np.ndarray:
+    """Row i is the product state of window i, the Kronecker product of its
+    factors (cos x_j/2, sin x_j/2) multiplied out from the first entry."""
+    half = np.asarray(windows, dtype=float) / 2
+    factors = np.stack([np.cos(half), np.sin(half)], axis=-1)
+    amps = np.ones((len(half), 1))
+    for j in range(half.shape[1]):
+        amps = (amps[:, :, None] * factors[:, None, j]).reshape(len(half), 2 << j)
+    return amps
 
 
 def _entangler_pairs(num_qubits: int, block: int) -> list[tuple[int, int]]:
@@ -102,24 +110,41 @@ def predict(model: PqcModel, window) -> float:
 
 
 def predict_batch(model: PqcModel, windows) -> np.ndarray:
-    """<Z_0> per window: one circuit for theta, run on each encoded window."""
+    """<Z_0> per window, simulated on the readout's backward light cone.
+
+    Only the gates of `model_circuit` that can reach qubit 0 are run, on
+    the qubits they touch, for all windows at once: each row is a window's
+    product state on those qubits. For the paper's 12 qubits the cone is
+    qubits (0, 1, 10, 11) and 9 gates, so a prediction reads window months
+    t-12, t-11, t-2 and t-1 through theta 0, 1, 22, 23, 24 and 25. Every
+    width up to 16 has a cone of at most 5 qubits, 4 for an even width. The
+    gates left out cannot change <Z_0> (`qsim.light_cone`), so the values
+    equal the whole circuit's up to rounding.
+    """
     windows = _checked_windows(model, windows)
-    circuit = model_circuit(model)
-    readout = _readout(model)
-    return np.array([qsim.expectation(qsim.run_circuit(circuit, encode(w)),
-                                      readout) for w in windows])
+    cone, circuit = qsim.light_cone(model_circuit(model), [0])
+    return _z0(qsim.run_batch(circuit, _product_states(windows[:, cone])))
+
+
+def _z0(amplitudes: np.ndarray) -> np.ndarray:
+    """<Z_0> of each state along the last axis: the squared norm of its
+    first half, where qubit 0 reads 0, minus that of its second half."""
+    half = amplitudes.shape[-1] // 2
+    p = amplitudes.real ** 2 + amplitudes.imag ** 2
+    return p[..., :half].sum(axis=-1) - p[..., half:].sum(axis=-1)
 
 
 def _checked_windows(model: PqcModel, windows) -> np.ndarray:
     windows = np.atleast_2d(np.asarray(windows, dtype=float))
+    if windows.ndim != 2:
+        raise ValueError(f"windows must be one window or a 2-D array of "
+                         f"them, got {windows.ndim} dimensions")
     if windows.shape[1] != model.num_qubits:
         raise ValueError(f"window length {windows.shape[1]} != "
                          f"{model.num_qubits} qubits")
+    if not np.all(np.isfinite(windows)):
+        raise ValueError("windows hold a non-finite value")
     return windows
-
-
-def _readout(model: PqcModel) -> str:
-    return "Z" + "I" * (model.num_qubits - 1)
 
 
 def loss(model: PqcModel, windows, labels) -> float:
@@ -139,14 +164,15 @@ def gradient(model: PqcModel, windows, labels,
     exact derivative through the squared loss; finite-difference applies
     central differences to the loss itself.
 
-    The gates before theta_p's gate are the same in both shifted circuits
-    and in the unshifted one, so each window runs the circuit once, and
-    theta_p's two branches start from a copy of that forward state at
-    theta_p's gate. A circuit of G gates whose P rotations sit at
-    positions g_p applies G + 2 * sum(G - g_p) gates per window, where
-    2P + 1 whole circuits would apply (2P + 1) * G: 2,700 instead of 5,820
-    at 12 qubits. Every value is the one the whole shifted circuits give,
-    bit for bit.
+    The residual comes from `predict_batch`, so this is the exact
+    derivative of the `loss` an optimizer sees. The shifted predictions run
+    on the whole register: each window runs the circuit once, and theta_p's
+    two branches start from that forward state just after theta_p's gate,
+    rotate once more by +-pi/2 about the same axis (R(theta + s) =
+    R(s) R(theta)), and run the rest of the circuit. A circuit of G gates
+    that ends in a rotation, with its P rotations at positions g_p, applies
+    G + 2 * sum(G - g_p) gates per window, where 2P + 1 whole circuits
+    would apply (2P + 1) * G: 2,700 instead of 5,820 at 12 qubits.
     """
     windows = _checked_windows(model, windows)
     labels = np.asarray(labels, dtype=float).ravel()
@@ -162,26 +188,21 @@ def gradient(model: PqcModel, windows, labels,
     k = model.num_qubits
     gates = model_circuit(model).gates
     # the p-th rotation gate carries theta_p
-    starts = [i for i, gate in enumerate(gates) if gate.name != "cnot"]
-    bounds = [0, *starts, len(gates)]
+    rotations = [i for i, gate in enumerate(gates) if gate.name != "cnot"]
+    bounds = [0, *(i + 1 for i in rotations)]
     forward = [_circuit(k, gates[a:b]) for a, b in zip(bounds, bounds[1:])]
-    shifted = [[_circuit(k, [replace(gates[i], angle=gates[i].angle + step),
+    shifted = [[_circuit(k, [qsim.Gate(gates[i].name, gates[i].qubits, step),
                              *gates[i + 1:]])
-                for step in (math.pi / 2, -math.pi / 2)] for i in starts]
-    readout = _readout(model)
-    preds = np.empty(len(windows))
-    up = np.empty((len(starts), len(windows)))
+                for step in (math.pi / 2, -math.pi / 2)] for i in rotations]
+    up = np.empty((len(rotations), len(windows)))
     down = np.empty_like(up)
     for w, window in enumerate(windows):
         state = encode(window)
         for p, (segment, (plus, minus)) in enumerate(zip(forward, shifted)):
             state = qsim.run_circuit(segment, state)
-            up[p, w] = qsim.expectation(qsim.run_circuit(plus, state), readout)
-            down[p, w] = qsim.expectation(qsim.run_circuit(minus, state),
-                                          readout)
-        preds[w] = qsim.expectation(qsim.run_circuit(forward[-1], state),
-                                    readout)
-    residual = 2.0 * (preds - labels) / labels.size
+            up[p, w] = _z0(qsim.run_circuit(plus, state).amplitudes)
+            down[p, w] = _z0(qsim.run_circuit(minus, state).amplitudes)
+    residual = 2.0 * (predict_batch(model, windows) - labels) / labels.size
     grad = np.empty(model.num_parameters)
     for p in range(model.num_parameters):
         grad[p] = float(residual @ ((up[p] - down[p]) / 2.0))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,15 +60,25 @@ class Statevector:
     num_qubits: int = field(init=False)
 
     def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex)
+        self._hold(np.array(self.amplitudes, dtype=complex))
+
+    def _hold(self, amps: np.ndarray) -> None:
         if amps.ndim != 1 or amps.size == 0 or amps.size & (amps.size - 1):
             raise ValueError(f"amplitude length {amps.size} is not a power of two")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:
             raise ValueError(f"state norm {norm!r} is not 1")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "num_qubits", amps.size.bit_length() - 1)
+
+    @classmethod
+    def _of_buffer(cls, amps: np.ndarray) -> "Statevector":
+        """The state over `amps` itself, not a copy, for a complex128 buffer
+        that nothing else holds; checked and made read-only as usual."""
+        state = object.__new__(cls)
+        state._hold(amps)
+        return state
 
     @classmethod
     def zero(cls, num_qubits: int) -> "Statevector":
@@ -169,6 +179,19 @@ def _apply_gate_inplace(buf: np.ndarray, num_qubits: int, gate: Gate) -> None:
                                    m[0, 0], m[0, 1], m[1, 0], m[1, 1])
 
 
+def run_batch(circuit: Circuit, amplitudes) -> np.ndarray:
+    """Apply all gates in order to every row of `amplitudes`, an array whose
+    last axis has length 2**num_qubits; returns the results as a new array.
+    Unlike `run_circuit`, it does not check that each row has unit norm."""
+    buf = np.array(amplitudes, dtype=complex)
+    if buf.ndim == 0 or buf.shape[-1] != 1 << circuit.num_qubits:
+        raise ValueError(f"amplitude rows of shape {buf.shape} do not fit "
+                         f"{circuit.num_qubits} qubits")
+    for gate in circuit.gates:
+        _apply_gate_inplace(buf, circuit.num_qubits, gate)
+    return buf
+
+
 def run_circuit(circuit: Circuit, initial: Statevector | None = None) -> Statevector:
     """Apply all gates in order to `initial` (default |0...0>)."""
     if initial is None:
@@ -176,22 +199,46 @@ def run_circuit(circuit: Circuit, initial: Statevector | None = None) -> Stateve
     if initial.num_qubits != circuit.num_qubits:
         raise ValueError(f"state has {initial.num_qubits} qubits, "
                          f"circuit has {circuit.num_qubits}")
-    buf = np.array(initial.amplitudes, dtype=complex)
-    for gate in circuit.gates:
-        _apply_gate_inplace(buf, circuit.num_qubits, gate)
-    return Statevector(buf)
+    return Statevector._of_buffer(run_batch(circuit, initial.amplitudes))
+
+
+def light_cone(circuit: Circuit, qubits) -> tuple[tuple[int, ...], Circuit]:
+    """The backward light cone of `qubits` through `circuit`.
+
+    Walks the gates from last to first, keeps each gate that touches the
+    cone, adds that gate's qubits to the cone, and drops every other gate.
+    Returns the cone's qubits in register order and a circuit on them that
+    holds the kept gates in their order, renumbered so that cone qubit i is
+    its qubit i.
+
+    A dropped gate acts only on qubits that no later kept gate reaches, so
+    it cannot change any observable on `qubits`. On an input that is a
+    product of the cone's state and the rest, the returned circuit run on
+    the cone's factors therefore gives the same expectation of any Pauli
+    string on `qubits` as the whole circuit (Farhi, Goldstone & Gutmann,
+    arXiv:1411.4028).
+    """
+    cone = set()
+    for q in qubits:
+        if not 0 <= q < circuit.num_qubits:
+            raise ValueError(f"qubit {q} out of range for {circuit.num_qubits} qubits")
+        cone.add(int(q))
+    kept = []
+    for gate in reversed(circuit.gates):
+        if cone.intersection(gate.qubits):
+            cone.update(gate.qubits)
+            kept.append(gate)
+    order = tuple(sorted(cone))
+    index = {q: i for i, q in enumerate(order)}
+    restricted = Circuit(len(order))
+    for gate in reversed(kept):
+        restricted.add(replace(gate, qubits=tuple(index[q] for q in gate.qubits)))
+    return order, restricted
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense matrix of the whole circuit (column i = circuit applied to |i>)."""
-    dim = 1 << circuit.num_qubits
-    mat = np.eye(dim, dtype=complex)
-    for i in range(dim):
-        buf = mat[:, i].copy()
-        for gate in circuit.gates:
-            _apply_gate_inplace(buf, circuit.num_qubits, gate)
-        mat[:, i] = buf
-    return mat
+    return run_batch(circuit, np.eye(1 << circuit.num_qubits)).T
 
 
 def apply_pauli(amplitudes: np.ndarray, digits) -> np.ndarray:

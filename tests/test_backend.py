@@ -53,3 +53,18 @@ def test_pure_cnot_matches_permutation_oracle():
         backend.apply_cnot(buf, k, control, target)
         assert np.allclose(buf, want, atol=0)
 
+
+
+def test_leading_axes_are_a_batch_of_states():
+    rng = np.random.default_rng(2)
+    k = 3
+    rows = np.array([random_buffer(rng, k) for _ in range(5)])
+    m = random_2x2(rng)
+    batch = rows.copy()
+    backend.apply_single_qubit(batch, k, 1, m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+    backend.apply_cnot(batch, k, 2, 0)
+    for row, got in zip(rows, batch):
+        one = row.copy()
+        backend.apply_single_qubit(one, k, 1, m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+        backend.apply_cnot(one, k, 2, 0)
+        assert got.tobytes() == one.tobytes()

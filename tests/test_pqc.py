@@ -153,6 +153,22 @@ class TestModelCircuit:
         state = qsim.run_circuit(model_circuit(m), encode(np.zeros(4)))
         assert np.allclose(state.amplitudes, [1] + [0] * 15, atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_window_rejected(self, bad):
+        windows = np.zeros((3, 4))
+        windows[1, 2] = bad
+        for call in (lambda: predict_batch(small_model(), windows),
+                     lambda: loss(small_model(), windows, np.zeros(3)),
+                     lambda: gradient(small_model(), windows, np.zeros(3))):
+            with pytest.raises(ValueError, match="non-finite"):
+                call()
+        with pytest.raises(ValueError, match="non-finite"):
+            predict_batch(PqcModel.initialized(), np.full((1, 12), np.nan))
+
+    def test_three_dimensional_windows_rejected(self):
+        with pytest.raises(ValueError, match="got 3 dimensions"):
+            predict_batch(small_model(), np.zeros((2, 3, 4)))
+
     def test_window_length_checked(self):
         # the circuit takes no window; predict_batch checks the width
         for width in (3, 5):
@@ -177,26 +193,75 @@ class TestModelCircuit:
 
 
 class TestFullCircuitOracle:
-    """The shared circuit on encoded windows equals the full per-window
-    circuit of the paper, encoding gates included, bit for bit."""
+    """The light cone run on encoded windows equals the full per-window
+    circuit of the paper, encoding gates included, to 1e-12: the gates
+    outside the cone are not applied, so the rounding differs."""
 
-    @pytest.mark.parametrize("k", [3, 4, 12])
+    @pytest.mark.parametrize("k", [3, 4, 5, 12])
     def test_predictions_and_loss(self, k):
         models, windows, labels = corpus(k, seed=20 + k)
         for m in models:
             want = full_circuit_predictions(m, windows)
-            assert predict_batch(m, windows).tobytes() == want.tobytes()
-            assert [predict(m, w) for w in windows] == list(want)
-            assert loss(m, windows, labels) == float(np.mean((want - labels) ** 2))
+            assert np.max(np.abs(predict_batch(m, windows) - want)) <= 1e-12
+            assert np.max(np.abs([predict(m, w) for w in windows] - want)) <= 1e-12
+            assert abs(loss(m, windows, labels)
+                       - float(np.mean((want - labels) ** 2))) <= 1e-12
 
-    @pytest.mark.parametrize("k", [3, 4, 12])
+    @pytest.mark.parametrize("k", [3, 4, 5, 12])
     def test_parameter_shift_gradient(self, k):
         models, windows, labels = corpus(k, seed=30 + k)
         if k == 12:
             windows, labels = windows[[0, 5, 7]], labels[[0, 5, 7]]
         m = models[1]
         want = full_circuit_gradient(m, windows, labels)
-        assert gradient(m, windows, labels).tobytes() == want.tobytes()
+        assert np.max(np.abs(gradient(m, windows, labels) - want)) <= 1e-12
+
+
+def expected_cone(k):
+    """Readout cone of model_circuit: the block-1 ring pulls in qubit k-1,
+    and for odd k its (k-2, k-1) pair pulls in k-2 as well; block 0 then
+    pairs each of those with its neighbour."""
+    if k <= 3:
+        return tuple(range(k)), {1: 4, 2: 5, 3: 11}[k]
+    if k % 2 == 0:
+        return (0, 1, k - 2, k - 1), 9
+    return (0, 1, k - 3, k - 2, k - 1), 12
+
+
+class TestLightCone:
+    # the 6 parameters the 12-qubit cone holds; the other 42 are inert
+    LIVE_PARAMETERS = (0, 1, 22, 23, 24, 25)
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_cone_of_every_width(self, k):
+        cone, circuit = qsim.light_cone(model_circuit(small_model(k)), [0])
+        assert (cone, len(circuit.gates)) == expected_cone(k)
+        assert circuit.num_qubits == len(cone) <= 5
+
+    def test_paper_width_reads_four_months_through_six_parameters(self):
+        m = PqcModel.initialized()
+        cone, circuit = qsim.light_cone(model_circuit(m), [0])
+        assert cone == (0, 1, 10, 11) and len(circuit.gates) == 9
+        rotations = [g.angle for g in circuit.gates if g.name != "cnot"]
+        assert rotations == [m.theta[p] for p in self.LIVE_PARAMETERS]
+
+    def test_inert_entries_leave_predictions_bitwise_equal(self):
+        rng = np.random.default_rng(40)
+        m = PqcModel.initialized().with_theta(rng.uniform(-math.pi, math.pi, 48))
+        windows = rng.uniform(-0.25, 0.25, size=(6, 12))
+        want = predict_batch(m, windows).tobytes()
+        moved = windows.copy()
+        moved[:, 2:10] = rng.uniform(-3.0, 3.0, size=(6, 8))
+        assert predict_batch(m, moved).tobytes() == want
+        inert = [p for p in range(48) if p not in self.LIVE_PARAMETERS]
+        assert len(inert) == 42
+        theta = m.theta.copy()
+        theta[inert] = rng.uniform(-math.pi, math.pi, 42)
+        assert predict_batch(m.with_theta(theta), windows).tobytes() == want
+        for p in self.LIVE_PARAMETERS:
+            theta = m.theta.copy()
+            theta[p] += 0.5
+            assert predict_batch(m.with_theta(theta), windows).tobytes() != want
 
 
 class TestPredict:
@@ -211,6 +276,9 @@ class TestPredict:
             w = rng.uniform(-0.25, 0.25, size=4)
             p = predict(m.with_theta(rng.uniform(-math.pi, math.pi, 16)), w)
             assert -1.0 - 1e-12 <= p <= 1.0 + 1e-12
+
+    def test_no_windows_give_no_predictions(self):
+        assert predict_batch(small_model(), np.zeros((0, 4))).shape == (0,)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(2)
@@ -284,7 +352,7 @@ class TestGradient:
         labels = data.draw(hnp.arrays(float, count, elements=st.floats(-1, 1)))
         m = PqcModel(theta=theta, num_qubits=k)
         want = full_circuit_gradient(m, windows, labels)
-        assert gradient(m, windows, labels).tobytes() == want.tobytes()
+        assert np.max(np.abs(gradient(m, windows, labels) - want)) <= 1e-12
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_gates_applied_twelve_qubits(self, monkeypatch, count):

@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qforecast import qsim
 from qforecast.qsim import (Circuit, Gate, Statevector, ancilla_estimate, apply_pauli,
-                            circuit_unitary, expectation, hadamard_test, run_circuit)
+                            circuit_unitary, expectation, hadamard_test, light_cone,
+                            run_batch, run_circuit)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -83,6 +86,11 @@ class TestStatevector:
     def test_rejects_bad_norm(self):
         with pytest.raises(ValueError):
             Statevector(np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(ValueError, match="norm"):
+            Statevector(np.array([bad, 0.0]))
 
     def test_basis_state_bounds(self):
         with pytest.raises(ValueError):
@@ -217,6 +225,13 @@ class TestRunCircuit:
         with pytest.raises(ValueError):
             run_circuit(Circuit(2), Statevector.zero(3))
 
+    def test_output_is_a_read_only_copy(self):
+        s = random_state(np.random.default_rng(1), 2)
+        out = run_circuit(Circuit(2), s)
+        assert out.amplitudes.tobytes() == s.amplitudes.tobytes()
+        assert not np.shares_memory(out.amplitudes, s.amplitudes)
+        assert not out.amplitudes.flags.writeable
+
     def test_circuit_unitary_matches_kron_oracle(self):
         c = Circuit(2)
         c.ry(0, 0.3)
@@ -225,6 +240,80 @@ class TestRunCircuit:
         c.h(1)
         want = kron_all(I2, H) @ CNOT_01 @ kron_all(ry(0.3), rz(-0.8))
         assert np.allclose(circuit_unitary(c), want, atol=1e-12)
+
+
+class TestRunBatch:
+    def test_each_row_equals_run_circuit(self):
+        rng = np.random.default_rng(12)
+        c = Circuit(3)
+        c.h(0)
+        c.cnot(0, 2)
+        c.rx(1, 0.7)
+        c.cnot(2, 1)
+        c.rz(2, -1.1)
+        states = [random_state(rng, 3) for _ in range(4)]
+        rows = np.array([s.amplitudes for s in states])
+        out = run_batch(c, rows)
+        for row, state in zip(out, states):
+            assert row.tobytes() == run_circuit(c, state).amplitudes.tobytes()
+        assert rows.tobytes() == np.array([s.amplitudes for s in states]).tobytes()
+
+    def test_rejects_rows_of_the_wrong_width(self):
+        with pytest.raises(ValueError, match="do not fit 3 qubits"):
+            run_batch(Circuit(3), np.zeros((2, 4)))
+
+
+@st.composite
+def circuits_on_product_states(draw):
+    """A circuit of 1-6 qubits with every gate kind, and one unit 2-vector
+    per qubit whose Kronecker product is the input state."""
+    n = draw(st.integers(1, 6))
+    angle = st.floats(-2 * math.pi, 2 * math.pi)
+    circuit = Circuit(n)
+    for _ in range(draw(st.integers(0, 30))):
+        name = draw(st.sampled_from(["h", "x", "rx", "ry", "rz"] + ["cnot"] * (n > 1)))
+        if name == "cnot":
+            circuit.cnot(*draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                        max_size=2, unique=True)))
+        else:
+            q = draw(st.integers(0, n - 1))
+            circuit.add(Gate(name, (q,), draw(angle) if name[0] == "r" else None))
+    factors = [np.array([math.cos(a), cmath.exp(1j * b) * math.sin(a)])
+               for a, b in draw(st.lists(st.tuples(angle, angle),
+                                         min_size=n, max_size=n))]
+    return circuit, factors, draw(st.integers(0, n - 1))
+
+
+def z_label(num_qubits, qubit):
+    return "".join("Z" if i == qubit else "I" for i in range(num_qubits))
+
+
+class TestLightCone:
+    def test_keeps_the_gates_that_reach_the_readout(self):
+        c = Circuit(5)
+        c.cnot(1, 2)
+        c.ry(4, 0.3)
+        c.h(3)
+        c.cnot(2, 4)
+        c.h(0)
+        cone, sub = light_cone(c, [4])
+        assert cone == (1, 2, 4)
+        assert [(g.name, g.qubits, g.angle) for g in sub.gates] == [
+            ("cnot", (0, 1), None), ("ry", (2,), 0.3), ("cnot", (1, 2), None)]
+
+    def test_rejects_a_qubit_outside_the_register(self):
+        with pytest.raises(ValueError, match="qubit 3 out of range"):
+            light_cone(Circuit(3), [3])
+
+    @given(case=circuits_on_product_states())
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_cone_expectation_equals_the_whole_circuit(self, case):
+        circuit, factors, q = case
+        whole = run_circuit(circuit, Statevector(kron_all(*factors)[0]))
+        want = expectation(whole, z_label(circuit.num_qubits, q))
+        cone, sub = light_cone(circuit, [q])
+        part = run_circuit(sub, Statevector(kron_all(*[factors[i] for i in cone])[0]))
+        assert abs(expectation(part, z_label(len(cone), cone.index(q))) - want) <= 1e-12
 
 
 class TestExpectation:
