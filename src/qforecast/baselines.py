@@ -9,6 +9,7 @@ with momentum, no regularisation, no early stopping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,6 +32,8 @@ class LinearModel:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-d array")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights contain non-finite values")
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -191,11 +194,13 @@ def mlp_train(model: MlpModel, features: np.ndarray, labels: np.ndarray,
               "w3": model.w3.copy(), "b3": np.float64(model.b3)}
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
     trace = []
-    current = model
     for epoch in range(epochs):
-        # overflow here means divergence, reported via the loss check below
+        # the passes read only w1 ... b3, so they take the bare arrays; an
+        # MlpModel, with its checks and copies, is built once at the end.
+        # Overflow here means divergence, reported via the loss check below
         with np.errstate(over="ignore", invalid="ignore"):
-            loss, grads = mlp_loss_gradient(current, features, labels)
+            loss, grads = mlp_loss_gradient(SimpleNamespace(**params),
+                                            features, labels)
         if not np.isfinite(loss):
             raise ArithmeticError(
                 "training diverged at epoch %d (loss %r)" % (epoch, loss))
@@ -208,7 +213,6 @@ def mlp_train(model: MlpModel, features: np.ndarray, labels: np.ndarray,
         if not all(np.all(np.isfinite(v)) for v in params.values()):
             raise ArithmeticError(
                 "training diverged at epoch %d (non-finite parameters)" % epoch)
-        current = MlpModel(w1=params["w1"], b1=params["b1"],
-                           w2=params["w2"], b2=params["b2"],
-                           w3=params["w3"], b3=float(params["b3"]))
-    return current, trace
+    return MlpModel(w1=params["w1"], b1=params["b1"], w2=params["w2"],
+                    b2=params["b2"], w3=params["w3"],
+                    b3=float(params["b3"])), trace

@@ -156,8 +156,10 @@ def minimize_derivative_free(fun, x0, options: OptimOptions | None = None,
             # no useful model decrease: repair geometry or shrink
             dists = np.linalg.norm(sim[1:] - sim[0], axis=1)
             far = int(np.argmax(dists)) + 1
-            sing = np.linalg.svd(sim[1:] - sim[0], compute_uv=False)
-            if dists.max() > 2.0 * rho or sing[-1] < 0.1 * rho:
+            # a far vertex already calls for repair; only otherwise is the
+            # simplex's flatness worth an SVD
+            if dists.max() > 2.0 * rho or np.linalg.svd(
+                    sim[1:] - sim[0], compute_uv=False)[-1] < 0.1 * rho:
                 _, _, vt = np.linalg.svd(sim[1:] - sim[0])
                 probe = vt[-1]
                 if gnorm > 1e-15 and float(probe @ grad) > 0:

@@ -141,11 +141,16 @@ class RunReport:
         for r in self.reports:
             parts = []
             for key in ("condition_number", "final_cost", "error_bound",
-                        "stop_reason", "residual", "converged", "evaluations"):
+                        "stop_reason", "residual", "converged", "evaluations",
+                        "trained_parameters", "months_read", "theta_read"):
                 if key in r.extras:
                     value = r.extras[key]
-                    text = ("%.6g" % value if isinstance(value, float)
-                            else str(value))
+                    if isinstance(value, float):
+                        text = "%.6g" % value
+                    elif isinstance(value, tuple):
+                        text = " ".join(map(str, value))
+                    else:
+                        text = str(value)
                     parts.append("%s %s" % (key.replace("_", " "), text))
             if parts:
                 lines.append("%s: %s" % (r.name, ", ".join(parts)))
@@ -175,9 +180,14 @@ def fit(spec: ModelSpec, X: np.ndarray, y: np.ndarray, seed: int):
         config = pqc.TrainConfig(optimizer=spec.optimizer,
                                  max_iters=spec.max_iters)
         model, result = pqc.train(init, X, y, config)
+        plan = pqc.cone_plan(spec.window)
         return model, tuple(result.trace), {
-            "converged": result.converged, "evaluations": result.evaluations,
-            "final_loss": result.fun, "model": model}
+            "stop_reason": result.message, "converged": result.converged,
+            "evaluations": result.evaluations, "final_loss": result.fun,
+            "trained_parameters": len(plan.live),
+            "months_read": tuple("t-%d" % (spec.window - q)
+                                 for q in plan.qubits),
+            "theta_read": plan.live, "model": model}
 
     system = normal_equations(WindowSystem(X=X, y=y, window=spec.window))
     problem = vqls.VqlsProblem.from_system(system.A, system.b)

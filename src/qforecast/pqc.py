@@ -3,12 +3,13 @@
 Architecture (for k qubits, default 12): each of the k window values is
 angle-encoded as RY(x_i) on its own qubit, giving the product state of the
 (cos x_i/2, sin x_i/2) (`encode`), followed by two variational blocks that
-depend on theta only (`model_circuit`, built once per theta). Block L
-applies a CNOT entangling pattern and then RX(theta), RY(theta) on every
-qubit. The first pattern pairs neighbors (0,1), (2,3), ...; the second
-shifts by one, (1,2), (3,4), ..., and closes the ring with (k-1, 0) when
-k >= 3. The prediction is the expectation of Z on qubit 0, so outputs live
-in [-1, 1] and match the scaled-difference target range.
+depend on theta only (`model_circuit`). Block L applies a CNOT entangling
+pattern and then RX(theta), RY(theta) on every qubit. The first pattern
+pairs neighbors (0,1), (2,3), ...; the second shifts by one, (1,2), (3,4),
+..., and closes the ring with (k-1, 0) when k >= 3. The prediction is the
+expectation of Z on qubit 0, so outputs live in [-1, 1] and match the
+scaled-difference target range. Predictions run, and training searches,
+only the readout's light cone (`cone_plan`).
 
 Parameters are flat, layer-major then qubit-minor, RX before RY:
 theta[L * 2k + 2q] is the RX angle of qubit q in block L.
@@ -16,6 +17,7 @@ theta[L * 2k + 2q] is the RX angle of qubit q in block L.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -44,6 +46,8 @@ class PqcModel:
         want = VARIATIONAL_BLOCKS * 2 * self.num_qubits
         if theta.shape != (want,):
             raise ValueError(f"theta has shape {theta.shape}, expected ({want},)")
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("theta contains non-finite values")
         theta.setflags(write=False)
         object.__setattr__(self, "theta", theta)
 
@@ -105,6 +109,40 @@ def model_circuit(model: PqcModel) -> qsim.Circuit:
     return circuit
 
 
+@dataclass(frozen=True)
+class ConePlan:
+    """The readout's light cone of `model_circuit`, for any theta.
+
+    `qubits` are the cone's qubits in register order; each entry of
+    `gates` is a kept gate's (name, qubits renumbered onto the cone, theta
+    index), in circuit order, with index None for a cnot. `live` are the
+    theta indices the gates read: the only parameters <Z_0> depends on.
+    """
+
+    qubits: tuple[int, ...]
+    gates: tuple[tuple[str, tuple[int, ...], int | None], ...]
+
+    @property
+    def live(self) -> tuple[int, ...]:
+        return tuple(sorted(p for _, _, p in self.gates if p is not None))
+
+
+@functools.lru_cache(maxsize=MAX_QUBITS)
+def cone_plan(num_qubits: int) -> ConePlan:
+    """The cone plan of a `num_qubits` model, built on first use per width.
+
+    The cone's structure depends only on the width: it is read off
+    `model_circuit` at theta_p = p, where each kept rotation's angle is its
+    own theta index.
+    """
+    indices = PqcModel(theta=np.arange(VARIATIONAL_BLOCKS * 2 * num_qubits),
+                       num_qubits=num_qubits)
+    qubits, circuit = qsim.light_cone(model_circuit(indices), [0])
+    return ConePlan(qubits, tuple(
+        (g.name, g.qubits, None if g.angle is None else int(g.angle))
+        for g in circuit.gates))
+
+
 def predict(model: PqcModel, window) -> float:
     return float(predict_batch(model, [window])[0])
 
@@ -112,8 +150,9 @@ def predict(model: PqcModel, window) -> float:
 def predict_batch(model: PqcModel, windows) -> np.ndarray:
     """<Z_0> per window, simulated on the readout's backward light cone.
 
-    Only the gates of `model_circuit` that can reach qubit 0 are run, on
-    the qubits they touch, for all windows at once: each row is a window's
+    Only the gates of `model_circuit` that can reach qubit 0, which
+    `cone_plan` lists, are run at the model's theta on the qubits they
+    touch, for all windows at once: each row is a window's
     product state on those qubits. For the paper's 12 qubits the cone is
     qubits (0, 1, 10, 11) and 9 gates, so a prediction reads window months
     t-12, t-11, t-2 and t-1 through theta 0, 1, 22, 23, 24 and 25. Every
@@ -122,8 +161,11 @@ def predict_batch(model: PqcModel, windows) -> np.ndarray:
     equal the whole circuit's up to rounding.
     """
     windows = _checked_windows(model, windows)
-    cone, circuit = qsim.light_cone(model_circuit(model), [0])
-    return _z0(qsim.run_batch(circuit, _product_states(windows[:, cone])))
+    plan = cone_plan(model.num_qubits)
+    circuit = qsim.Circuit(len(plan.qubits))
+    for name, qubits, p in plan.gates:
+        circuit.add(qsim.Gate(name, qubits, None if p is None else model.theta[p]))
+    return _z0(qsim.run_batch(circuit, _product_states(windows[:, plan.qubits])))
 
 
 def _z0(amplitudes: np.ndarray) -> np.ndarray:
@@ -226,22 +268,35 @@ class TrainConfig:
 def train(model: PqcModel, windows, labels, config: TrainConfig | None = None,
           ) -> tuple[PqcModel, optimize.OptimResult]:
     """Fit theta to the windowed data; returns the best-seen model and the
-    optimizer result (per-evaluation loss trace, convergence flag)."""
+    optimizer result (per-evaluation loss trace, convergence flag, and the
+    full theta as x).
+
+    The optimizer searches only the live parameters, `cone_plan`'s theta
+    indices: the others cannot change a prediction, so every one of them
+    keeps its initial value.
+    """
     config = config or TrainConfig()
     windows = np.atleast_2d(np.asarray(windows, dtype=float))
     labels = np.asarray(labels, dtype=float).ravel()
+    live = list(cone_plan(model.num_qubits).live)
 
-    def objective(theta):
-        return loss(model.with_theta(theta), windows, labels)
+    def full(x):
+        theta = model.theta.copy()
+        theta[live] = x
+        return model.with_theta(theta)
 
-    def grad(theta):
-        return gradient(model.with_theta(theta), windows, labels)
+    def objective(x):
+        return loss(full(x), windows, labels)
+
+    def grad(x):
+        return gradient(full(x), windows, labels)[live]
 
     options = optimize.OptimOptions(max_iters=config.max_iters,
                                     max_evals=config.max_evals)
-    result = optimize.minimize(config.optimizer, objective, model.theta, grad,
-                               options)
-    return model.with_theta(result.x), result
+    result = optimize.minimize(config.optimizer, objective, model.theta[live],
+                               grad, options)
+    fitted = full(result.x)
+    return fitted, replace(result, x=fitted.theta)
 
 
 def save_model(model: PqcModel, path) -> None:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from qforecast.baselines import (
+    LEARNING_RATE,
+    MOMENTUM,
     LinearModel,
     MlpModel,
     fit_linear,
@@ -45,6 +47,11 @@ class TestLinearModel:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             LinearModel(np.array([]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="weights contain non-finite values"):
+            LinearModel([bad, 1.0])
 
 
 class TestFitLinear:
@@ -253,6 +260,28 @@ class TestTrain:
         np.testing.assert_array_equal(a.w1, b.w1)
         np.testing.assert_array_equal(a.w3, b.w3)
         assert a.b3 == b.b3
+
+    def test_equals_the_loop_over_models(self):
+        # oracle: each epoch's passes run on a freshly built MlpModel
+        X, y = synthetic_windows(5)
+        model = MlpModel.initialized(seed=4)
+        names = ("w1", "b1", "w2", "b2", "w3", "b3")
+        params = {k: np.array(getattr(model, k)) for k in names}
+        velocity = {k: np.zeros_like(v) for k, v in params.items()}
+        current, want = model, []
+        for _ in range(60):
+            loss, grads = mlp_loss_gradient(current, X, y)
+            want.append(loss)
+            for k in names:
+                velocity[k] = MOMENTUM * velocity[k] - LEARNING_RATE * grads[k]
+                params[k] = params[k] + velocity[k]
+            current = MlpModel(**{k: params[k] for k in names})
+        trained, trace = mlp_train(model, X, y, epochs=60)
+        assert trace == want
+        for k in names:
+            assert np.asarray(getattr(trained, k)).tobytes() == \
+                np.asarray(getattr(current, k)).tobytes()
+        assert type(trained.b3) is float
 
     def test_beats_linear_training_mse(self):
         # the nonlinear term in the target is invisible to the linear fit

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from qforecast import optimize
 from qforecast.optimize import (METHODS, OptimOptions, finite_diff_gradient,
                                 minimize, minimize_derivative_free,
                                 minimize_quasi_newton)
@@ -89,6 +90,106 @@ class TestDerivativeFree:
         res = minimize_derivative_free(lambda x: 1.0, [0.0, 0.0],
                                        OptimOptions(max_iters=500))
         assert res.fun == 1.0
+
+
+def reference_derivative_free(fun, x0, options, far_repairs):
+    """Oracle: the derivative-free loop that takes the simplex's smallest
+    singular value before every repair-or-shrink decision. Appends one
+    entry to `far_repairs` per decision that the distance test alone
+    settles."""
+    opts = options
+    x0 = np.array(x0, dtype=float)
+    n = x0.size
+    rec = optimize._Recorder(fun, opts)
+    rho = optimize.INITIAL_STEP
+    try:
+        optimize._check_start(x0, rec)
+        sim = np.tile(x0, (n + 1, 1))
+        fs = np.empty(n + 1)
+        fs[0] = rec.trace[0]
+        for i in range(n):
+            sim[i + 1, i] += rho
+            fs[i + 1] = rec(sim[i + 1])
+        order = np.argsort(fs, kind="stable")
+        sim, fs = sim[order], fs[order]
+        for _ in range(opts.max_iters):
+            if rho <= optimize.TRUST_RADIUS_END:
+                return rec.result(True, "trust radius below tolerance")
+            diffs = sim[1:] - sim[0]
+            dvals = fs[1:] - fs[0]
+            grad, *_ = np.linalg.lstsq(diffs, dvals, rcond=None)
+            gnorm = float(np.linalg.norm(grad))
+            if gnorm > 1e-15:
+                pole_value = fs[0]
+                trial = sim[0] - (rho / gnorm) * grad
+                f_trial = rec(trial)
+                worst = int(np.argmax(fs[1:])) + 1
+                sim[worst], fs[worst] = trial, f_trial
+                order = np.argsort(fs, kind="stable")
+                sim, fs = sim[order], fs[order]
+                if pole_value - f_trial >= 0.1 * rho * gnorm:
+                    continue
+            dists = np.linalg.norm(sim[1:] - sim[0], axis=1)
+            far = int(np.argmax(dists)) + 1
+            sing = np.linalg.svd(sim[1:] - sim[0], compute_uv=False)
+            if dists.max() > 2.0 * rho:
+                far_repairs.append(far)
+            if dists.max() > 2.0 * rho or sing[-1] < 0.1 * rho:
+                _, _, vt = np.linalg.svd(sim[1:] - sim[0])
+                probe = vt[-1]
+                if gnorm > 1e-15 and float(probe @ grad) > 0:
+                    probe = -probe
+                trial = sim[0] + rho * probe
+                fs[far] = rec(trial)
+                sim[far] = trial
+                order = np.argsort(fs, kind="stable")
+                sim, fs = sim[order], fs[order]
+            else:
+                rho *= 0.5
+        return rec.result(False, "iteration limit reached")
+    except optimize._Stop as stop:
+        return rec.result(*stop.args)
+
+
+def rosenbrock_nd(x):
+    if x.size == 1:
+        return float((1 - x[0]) ** 2)
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1 - x[:-1]) ** 2))
+
+
+class TestDerivativeFreeRepair:
+    """The flatness SVD is skipped when a far vertex already decides the
+    repair; the search itself is the reference loop's, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["quadratic", "rosenbrock"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 24, 48])
+    def test_equals_the_reference_loop(self, monkeypatch, kind, n):
+        rng = np.random.default_rng(100 + n)
+        fun = (random_quadratic(rng, n)[0] if kind == "quadratic"
+               else rosenbrock_nd)
+        x0 = rng.uniform(-1.0, 1.0, size=n)
+        options = OptimOptions(max_iters=300, max_evals=20 * n + 100)
+        flatness_svds = []
+        svd = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            if kwargs.get("compute_uv") is False:
+                flatness_svds.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        far_repairs = []
+        want = reference_derivative_free(fun, x0, options, far_repairs)
+        reference_svds = len(flatness_svds)
+        flatness_svds.clear()
+        got = minimize_derivative_free(fun, x0, options)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.trace == want.trace
+        assert (got.evaluations, got.message, got.converged) == (
+            want.evaluations, want.message, want.converged)
+        # 1 to 279 of the decisions per case are settled by distance alone
+        assert len(far_repairs) > 0 or n == 1
+        assert len(flatness_svds) == reference_svds - len(far_repairs)
 
 
 class TestQuasiNewton:

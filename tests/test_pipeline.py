@@ -300,6 +300,18 @@ class TestRunReportText:
         assert ", error bound " in details.split("final cost ")[1]
         assert "stop reason " in details
 
+    def test_details_say_what_the_circuit_reads_and_trains(self):
+        series = small_series()
+        run = run_pipeline(series, specs=[ModelSpec(kind="pqc", max_iters=5)],
+                           split_date=SPLIT)
+        extras = run.reports[0].extras
+        assert extras["stop_reason"] == "iteration limit reached"
+        assert extras["trained_parameters"] == 6
+        assert run.details() == (
+            "pqc: stop reason iteration limit reached, converged False, "
+            "evaluations %d, trained parameters 6, months read t-12 t-11 "
+            "t-2 t-1, theta read 0 1 22 23 24 25" % extras["evaluations"])
+
 
 class TestArtifacts:
     def test_files_written(self, tmp_path):

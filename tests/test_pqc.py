@@ -36,6 +36,15 @@ class TestModelConstruction:
         with pytest.raises(ValueError):
             PqcModel(theta=np.zeros(10), num_qubits=12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_theta(self, bad):
+        theta = np.zeros(48)
+        theta[5] = bad
+        with pytest.raises(ValueError, match="theta contains non-finite values"):
+            PqcModel(theta=theta)
+        with pytest.raises(ValueError, match="non-finite"):
+            PqcModel.initialized().with_theta(np.full(48, bad))
+
     def test_rejects_more_qubits_than_the_cap(self):
         with pytest.raises(ValueError, match="at most 16 qubits, got 17"):
             PqcModel(theta=np.zeros(68), num_qubits=pqc.MAX_QUBITS + 1)
@@ -177,19 +186,27 @@ class TestModelCircuit:
             with pytest.raises(ValueError, match=f"window length {width} != 4 qubits"):
                 predict(small_model(), np.zeros(width))
 
-    @pytest.mark.parametrize("count", [1, 50])
-    def test_built_once_per_batch(self, monkeypatch, count):
+    def test_built_once_per_width(self, monkeypatch):
+        # the cone plan reads model_circuit once per width, whatever the
+        # theta or the batch; predictions build only the plan's gates
         built = []
 
         def counting(model):
-            built.append(model)
+            built.append(model.num_qubits)
             return model_circuit(model)
 
         monkeypatch.setattr(pqc, "model_circuit", counting)
-        m = small_model(seed=2)
-        windows = np.random.default_rng(count).uniform(-0.25, 0.25, size=(count, 4))
-        assert predict_batch(m, windows).shape == (count,)
-        assert len(built) == 1 and built[0] is m
+        pqc.cone_plan.cache_clear()
+        try:
+            rng = np.random.default_rng(3)
+            for k in (4, 5, 4, 5):
+                for count in (1, 50):
+                    m = small_model(k).with_theta(rng.uniform(-3, 3, 4 * k))
+                    windows = rng.uniform(-0.25, 0.25, size=(count, k))
+                    assert predict_batch(m, windows).shape == (count,)
+            assert built == [4, 5]
+        finally:
+            pqc.cone_plan.cache_clear()
 
 
 class TestFullCircuitOracle:
@@ -217,6 +234,14 @@ class TestFullCircuitOracle:
         assert np.max(np.abs(gradient(m, windows, labels) - want)) <= 1e-12
 
 
+def light_cone_predictions(model, windows):
+    """Oracle: <Z_0> from the light cone of the whole model_circuit, cut
+    for each call by qsim.light_cone."""
+    cone, circuit = qsim.light_cone(model_circuit(model), [0])
+    states = pqc._product_states(np.asarray(windows)[:, cone])
+    return pqc._z0(qsim.run_batch(circuit, states))
+
+
 def expected_cone(k):
     """Readout cone of model_circuit: the block-1 ring pulls in qubit k-1,
     and for odd k its (k-2, k-1) pair pulls in k-2 as well; block 0 then
@@ -237,11 +262,31 @@ class TestLightCone:
         cone, circuit = qsim.light_cone(model_circuit(small_model(k)), [0])
         assert (cone, len(circuit.gates)) == expected_cone(k)
         assert circuit.num_qubits == len(cone) <= 5
+        plan = pqc.cone_plan(k)
+        assert plan.qubits == cone
+        assert [(name, qubits) for name, qubits, _ in plan.gates] == [
+            (g.name, g.qubits) for g in circuit.gates]
+        assert len(plan.live) == len(set(plan.live)) == sum(
+            g.name != "cnot" for g in circuit.gates)
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_predictions_equal_the_cone_of_the_whole_circuit(self, k):
+        # the plan's gates at the model's theta are the gates light_cone
+        # keeps of model_circuit: same matrices, same order, same bits
+        rng = np.random.default_rng(50 + k)
+        for theta in (rng.uniform(-0.1, 0.1, 4 * k),
+                      rng.uniform(-math.pi, math.pi, 4 * k)):
+            m = PqcModel(theta=theta, num_qubits=k)
+            windows = np.vstack([rng.uniform(-0.25, 0.25, size=(6, k)),
+                                 rng.uniform(-3.0, 3.0, size=(3, k))])
+            want = light_cone_predictions(m, windows)
+            assert predict_batch(m, windows).tobytes() == want.tobytes()
 
     def test_paper_width_reads_four_months_through_six_parameters(self):
         m = PqcModel.initialized()
         cone, circuit = qsim.light_cone(model_circuit(m), [0])
         assert cone == (0, 1, 10, 11) and len(circuit.gates) == 9
+        assert pqc.cone_plan(12).live == self.LIVE_PARAMETERS
         rotations = [g.angle for g in circuit.gates if g.name != "cnot"]
         assert rotations == [m.theta[p] for p in self.LIVE_PARAMETERS]
 
@@ -413,6 +458,34 @@ class TestTrain:
         _, r2 = train(m, windows, labels, TrainConfig(max_iters=60, max_evals=60))
         assert r1.trace == r2.trace
         assert np.array_equal(r1.x, r2.x)
+
+    @pytest.mark.parametrize("optimizer", ["cobyla", "lbfgs"])
+    @pytest.mark.parametrize("k", [1, 5, 12])
+    def test_searches_only_the_live_parameters(self, monkeypatch, optimizer, k):
+        # the optimizer sees the cone's parameters; every other one comes
+        # back bit for bit as it went in
+        starts = []
+        minimize = pqc.optimize.minimize
+
+        def recording(method, fun, x0, grad, options):
+            starts.append(np.array(x0))
+            return minimize(method, fun, x0, grad, options)
+
+        monkeypatch.setattr(pqc.optimize, "minimize", recording)
+        rng = np.random.default_rng(11 + k)
+        m = small_model(k, seed=k)
+        windows = rng.uniform(-0.25, 0.25, size=(3, k))
+        labels = rng.uniform(-0.25, 0.25, size=3)
+        config = TrainConfig(optimizer=optimizer, max_iters=2, max_evals=30)
+        fitted, result = train(m, windows, labels, config)
+        live = list(pqc.cone_plan(k).live)
+        assert len(live) == {1: 4, 5: 8, 12: 6}[k]
+        assert len(starts) == 1 and starts[0].tobytes() == m.theta[live].tobytes()
+        inert = np.setdiff1d(np.arange(4 * k), live)
+        assert fitted.theta[inert].tobytes() == m.theta[inert].tobytes()
+        assert not np.array_equal(fitted.theta[live], m.theta[live])
+        assert result.x.tobytes() == fitted.theta.tobytes()
+        assert loss(fitted, windows, labels) == result.fun
 
     def test_rejects_unknown_optimizer(self):
         with pytest.raises(ValueError):
