@@ -186,6 +186,28 @@ class TestModelCircuit:
             with pytest.raises(ValueError, match=f"window length {width} != 4 qubits"):
                 predict(small_model(), np.zeros(width))
 
+    @pytest.mark.parametrize("count", [1, 50])
+    def test_built_once_per_batch(self, monkeypatch, count):
+        # a batch builds model_circuit at most once, whatever its size:
+        # once for a width not yet planned, not at all after that
+        built = []
+
+        def counting(model):
+            built.append(model.num_qubits)
+            return model_circuit(model)
+
+        monkeypatch.setattr(pqc, "model_circuit", counting)
+        pqc.cone_plan.cache_clear()
+        try:
+            m = small_model(seed=2)
+            windows = np.random.default_rng(count).uniform(-0.25, 0.25, size=(count, 4))
+            assert predict_batch(m, windows).shape == (count,)
+            assert built == [m.num_qubits]
+            assert predict_batch(m, windows).shape == (count,)
+            assert built == [m.num_qubits]
+        finally:
+            pqc.cone_plan.cache_clear()
+
     def test_built_once_per_width(self, monkeypatch):
         # the cone plan reads model_circuit once per width, whatever the
         # theta or the batch; predictions build only the plan's gates
