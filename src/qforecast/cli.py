@@ -153,6 +153,7 @@ def cmd_solve_vqls(args) -> int:
     print("cost %r" % result.final_cost)
     print("residual %r" % result.residual)
     print("evaluations %d" % result.evaluations)
+    print("gradient evaluations %d" % result.gradient_evaluations)
     print("converged %s" % result.converged)
     if args.trace_out:
         write_trace_csv(args.trace_out, result.cost_trace, "cost")

@@ -126,6 +126,14 @@ class ConePlan:
     def live(self) -> tuple[int, ...]:
         return tuple(sorted(p for _, _, p in self.gates if p is not None))
 
+    def states(self, windows: np.ndarray) -> np.ndarray:
+        """Each checked window's product state on the cone's qubits."""
+        return _product_states(windows[:, self.qubits])
+
+    def predict(self, theta: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """<Z_0> of each row of `states` after the plan's gates at theta."""
+        return _z0(qsim.run_plan(len(self.qubits), self.gates, theta, states))
+
 
 @functools.lru_cache(maxsize=MAX_QUBITS)
 def cone_plan(num_qubits: int) -> ConePlan:
@@ -138,9 +146,7 @@ def cone_plan(num_qubits: int) -> ConePlan:
     indices = PqcModel(theta=np.arange(VARIATIONAL_BLOCKS * 2 * num_qubits),
                        num_qubits=num_qubits)
     qubits, circuit = qsim.light_cone(model_circuit(indices), [0])
-    return ConePlan(qubits, tuple(
-        (g.name, g.qubits, None if g.angle is None else int(g.angle))
-        for g in circuit.gates))
+    return ConePlan(qubits, qsim.plan_of(circuit))
 
 
 def predict(model: PqcModel, window) -> float:
@@ -151,21 +157,18 @@ def predict_batch(model: PqcModel, windows) -> np.ndarray:
     """<Z_0> per window, simulated on the readout's backward light cone.
 
     Only the gates of `model_circuit` that can reach qubit 0, which
-    `cone_plan` lists, are run at the model's theta on the qubits they
-    touch, for all windows at once: each row is a window's
-    product state on those qubits. For the paper's 12 qubits the cone is
-    qubits (0, 1, 10, 11) and 9 gates, so a prediction reads window months
-    t-12, t-11, t-2 and t-1 through theta 0, 1, 22, 23, 24 and 25. Every
-    width up to 16 has a cone of at most 5 qubits, 4 for an even width. The
-    gates left out cannot change <Z_0> (`qsim.light_cone`), so the values
-    equal the whole circuit's up to rounding.
+    `cone_plan` lists, are run at the model's theta (`qsim.run_plan`, with
+    no Gate built) on the qubits they touch, for all windows at once: each
+    row is a window's product state on those qubits. For the paper's 12
+    qubits the cone is qubits (0, 1, 10, 11) and 9 gates, so a prediction
+    reads window months t-12, t-11, t-2 and t-1 through theta 0, 1, 22, 23,
+    24 and 25. Every width up to 16 has a cone of at most 5 qubits, 4 for an
+    even width. The gates left out cannot change <Z_0> (`qsim.light_cone`),
+    so the values equal the whole circuit's up to rounding.
     """
     windows = _checked_windows(model, windows)
     plan = cone_plan(model.num_qubits)
-    circuit = qsim.Circuit(len(plan.qubits))
-    for name, qubits, p in plan.gates:
-        circuit.add(qsim.Gate(name, qubits, None if p is None else model.theta[p]))
-    return _z0(qsim.run_batch(circuit, _product_states(windows[:, plan.qubits])))
+    return plan.predict(model.theta, plan.states(windows))
 
 
 def _z0(amplitudes: np.ndarray) -> np.ndarray:
@@ -273,29 +276,35 @@ def train(model: PqcModel, windows, labels, config: TrainConfig | None = None,
 
     The optimizer searches only the live parameters, `cone_plan`'s theta
     indices: the others cannot change a prediction, so every one of them
-    keeps its initial value.
+    keeps its initial value. The windows are checked, and their product
+    states on the cone built, once per call; each evaluation runs the plan
+    at its theta and equals `loss` there bit for bit.
     """
     config = config or TrainConfig()
-    windows = np.atleast_2d(np.asarray(windows, dtype=float))
+    windows = _checked_windows(model, windows)
     labels = np.asarray(labels, dtype=float).ravel()
-    live = list(cone_plan(model.num_qubits).live)
+    if len(windows) != labels.size:
+        raise ValueError(f"{len(windows)} windows but {labels.size} labels")
+    plan = cone_plan(model.num_qubits)
+    live = list(plan.live)
+    states = plan.states(windows)
 
     def full(x):
         theta = model.theta.copy()
         theta[live] = x
-        return model.with_theta(theta)
+        return theta
 
     def objective(x):
-        return loss(full(x), windows, labels)
+        return float(np.mean((plan.predict(full(x), states) - labels) ** 2))
 
     def grad(x):
-        return gradient(full(x), windows, labels)[live]
+        return gradient(model.with_theta(full(x)), windows, labels)[live]
 
     options = optimize.OptimOptions(max_iters=config.max_iters,
                                     max_evals=config.max_evals)
     result = optimize.minimize(config.optimizer, objective, model.theta[live],
                                grad, options)
-    fitted = full(result.x)
+    fitted = model.with_theta(full(result.x))
     return fitted, replace(result, x=fitted.theta)
 
 

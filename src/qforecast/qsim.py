@@ -6,6 +6,10 @@ Conventions:
     * States are complex128 and unit norm; operations return new states.
     * Gates are h, x, rx, ry, rz and cnot. Each goes through one of the two
       in-place numpy kernels of qforecast.backend.
+    * A circuit runs from its Gate objects (`run_batch`, `run_circuit`), or
+      from its plan (`plan_of`, `run_plan`): its structure read once, with
+      the angles bound at each run and no Gate built, for a variational
+      circuit run at many thetas.
 """
 
 from __future__ import annotations
@@ -25,23 +29,32 @@ _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _SDG = np.array([[1, 0], [0, -1j]], dtype=complex)
 
 
-def _rx(theta: float) -> np.ndarray:
+# A single-qubit gate's entries m00, m01, m10, m11, row-major, as Python
+# complex numbers: the kernels take a complex scalar faster than a float.
+
+def _rx(theta: float) -> tuple:
     c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+    return complex(c), -1j * s, -1j * s, complex(c)
 
 
-def _ry(theta: float) -> np.ndarray:
+def _ry(theta: float) -> tuple:
     c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    return complex(c), complex(-s), complex(s), complex(c)
 
 
-def _rz(theta: float) -> np.ndarray:
-    return np.array([[cmath.exp(-0.5j * theta), 0],
-                     [0, cmath.exp(0.5j * theta)]], dtype=complex)
+def _rz(theta: float) -> tuple:
+    return cmath.exp(-0.5j * theta), 0j, 0j, cmath.exp(0.5j * theta)
 
 
-_FIXED_1Q = {"h": _H, "x": pauli.SIGMA[1]}
+_FIXED_1Q = {"h": tuple(_H.ravel()), "x": tuple(pauli.SIGMA[1].ravel())}
 _ROTATIONS = {"rx": _rx, "ry": _ry, "rz": _rz}
+
+
+def _entries(name: str, angle: float | None) -> tuple:
+    """m00, m01, m10, m11 of the single-qubit gate `name` at `angle`: the
+    one source of the numbers `Gate.matrix` holds and `run_plan` applies."""
+    fixed = _FIXED_1Q.get(name)
+    return fixed if fixed is not None else _ROTATIONS[name](angle)
 
 
 def is_unitary(matrix: np.ndarray) -> bool:
@@ -103,8 +116,9 @@ class Gate:
     """One gate application: a name, target qubits, and an angle.
 
     Names: h, x, rx, ry, rz on one qubit, and cnot on (control, target).
-    Rotations carry `angle`. A single-qubit gate builds its read-only 2x2
-    `matrix` once, at construction; a cnot has none.
+    Rotations carry `angle`. A single-qubit gate builds its `entries` m00,
+    m01, m10, m11 and its read-only 2x2 `matrix` of them once, at
+    construction; a cnot has neither.
     """
 
     name: str
@@ -112,6 +126,8 @@ class Gate:
     angle: float | None = None
     matrix: np.ndarray | None = field(init=False, default=None, repr=False,
                                       compare=False)
+    entries: tuple | None = field(init=False, default=None, repr=False,
+                                  compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
@@ -124,16 +140,17 @@ class Gate:
         if self.name in _FIXED_1Q:
             if len(self.qubits) != 1 or self.angle is not None:
                 raise ValueError(f"{self.name} takes one qubit and no angle")
-            matrix = _FIXED_1Q[self.name].copy()
         elif self.name in _ROTATIONS:
             if len(self.qubits) != 1 or self.angle is None:
                 raise ValueError(f"{self.name} takes one qubit and an angle")
             object.__setattr__(self, "angle", float(self.angle))
-            matrix = _ROTATIONS[self.name](self.angle)
         else:
             raise ValueError(f"unknown gate {self.name!r}")
+        entries = _entries(self.name, self.angle)
+        matrix = np.array(entries, dtype=complex).reshape(2, 2)
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "entries", entries)
 
 
 class Circuit:
@@ -170,26 +187,57 @@ class Circuit:
         self.add(Gate("cnot", (control, target)))
 
 
-def _apply_gate_inplace(buf: np.ndarray, num_qubits: int, gate: Gate) -> None:
-    if gate.name == "cnot":
-        backend.apply_cnot(buf, num_qubits, gate.qubits[0], gate.qubits[1])
-    else:
-        m = gate.matrix
-        backend.apply_single_qubit(buf, num_qubits, gate.qubits[0],
-                                   m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+def _run(num_qubits: int, steps, amplitudes) -> np.ndarray:
+    """The one gate loop: apply each (qubits, entries) step, with entries
+    None for a cnot as in `Gate`, to a copy of `amplitudes`, whose rows
+    must have length 2**num_qubits."""
+    buf = np.array(amplitudes, dtype=complex)
+    if buf.ndim == 0 or buf.shape[-1] != 1 << num_qubits:
+        raise ValueError(f"amplitude rows of shape {buf.shape} do not fit "
+                         f"{num_qubits} qubits")
+    for qubits, entries in steps:
+        if entries is None:
+            backend.apply_cnot(buf, num_qubits, qubits[0], qubits[1])
+        else:
+            backend.apply_single_qubit(buf, num_qubits, qubits[0], *entries)
+    return buf
 
 
 def run_batch(circuit: Circuit, amplitudes) -> np.ndarray:
     """Apply all gates in order to every row of `amplitudes`, an array whose
     last axis has length 2**num_qubits; returns the results as a new array.
     Unlike `run_circuit`, it does not check that each row has unit norm."""
-    buf = np.array(amplitudes, dtype=complex)
-    if buf.ndim == 0 or buf.shape[-1] != 1 << circuit.num_qubits:
-        raise ValueError(f"amplitude rows of shape {buf.shape} do not fit "
-                         f"{circuit.num_qubits} qubits")
-    for gate in circuit.gates:
-        _apply_gate_inplace(buf, circuit.num_qubits, gate)
-    return buf
+    return _run(circuit.num_qubits, ((g.qubits, g.entries) for g in circuit.gates),
+                amplitudes)
+
+
+Plan = tuple[tuple[str, tuple[int, ...], int | None], ...]
+
+
+def plan_of(circuit: Circuit) -> Plan:
+    """A circuit's structure apart from its angles, for `run_plan`.
+
+    `circuit` must be built with each rotation's angle equal to the index
+    of the parameter it reads (theta_p = p). Each step is a gate's (name,
+    qubits, parameter index), in circuit order, with index None for a gate
+    that takes no angle.
+    """
+    return tuple((g.name, g.qubits, None if g.angle is None else int(g.angle))
+                 for g in circuit.gates)
+
+
+def run_plan(num_qubits: int, plan: Plan, theta, amplitudes) -> np.ndarray:
+    """`run_batch` of the circuit `plan` was read from, built at `theta`.
+
+    Each rotation's entries come from the function `Gate` builds its
+    entries with, at theta[index], so the result is bitwise the same; but
+    no Gate or Circuit is built, and no qubit is checked again.
+    """
+    angles = np.asarray(theta, dtype=float).tolist()
+    return _run(num_qubits, (
+        (qubits, None if name == "cnot" else
+         _entries(name, None if p is None else angles[p]))
+        for name, qubits, p in plan), amplitudes)
 
 
 def run_circuit(circuit: Circuit, initial: Statevector | None = None) -> Statevector:

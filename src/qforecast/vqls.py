@@ -29,6 +29,7 @@ solve stops as soon as C <= DEFAULT_EPSILON^2 / kappa^2.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -71,11 +72,19 @@ class AnsatzSpec:
         return 2 * self.num_qubits * (self.layers + 1)
 
 
-def ansatz_circuit(spec: AnsatzSpec, theta) -> qsim.Circuit:
+def _checked_theta(spec: AnsatzSpec, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (spec.num_parameters,):
         raise ValueError(f"theta has shape {theta.shape}, "
                          f"expected ({spec.num_parameters},)")
+    if not np.isfinite(theta).all():
+        raise ValueError("theta contains non-finite values")
+    return theta
+
+
+def ansatz_circuit(spec: AnsatzSpec, theta) -> qsim.Circuit:
+    """The ansatz at theta, gate by gate: its one definition."""
+    theta = _checked_theta(spec, theta)
     k = spec.num_qubits
     circuit = qsim.Circuit(k)
     pos = 0
@@ -90,8 +99,20 @@ def ansatz_circuit(spec: AnsatzSpec, theta) -> qsim.Circuit:
     return circuit
 
 
+@functools.lru_cache(maxsize=16)
+def ansatz_plan(spec: AnsatzSpec) -> qsim.Plan:
+    """`ansatz_circuit`'s gates as `qsim.plan_of` steps, read once per spec
+    on first use at theta_p = p: the structure does not depend on theta."""
+    return qsim.plan_of(ansatz_circuit(spec, np.arange(spec.num_parameters)))
+
+
 def ansatz_state(spec: AnsatzSpec, theta) -> np.ndarray:
-    return np.array(qsim.run_circuit(ansatz_circuit(spec, theta)).amplitudes)
+    """|x(theta)>: `ansatz_circuit(spec, theta)` run on |0...0>, through its
+    plan, with the same bits as `qsim.run_circuit` gives."""
+    theta = _checked_theta(spec, theta)
+    zero = np.zeros(1 << spec.num_qubits, dtype=complex)
+    zero[0] = 1.0
+    return qsim.run_plan(spec.num_qubits, ansatz_plan(spec), theta, zero)
 
 
 @dataclass(frozen=True)
@@ -223,6 +244,7 @@ class VqlsResult:
     residual: float
     converged: bool
     evaluations: int
+    gradient_evaluations: int  # cost calls of lbfgs's finite differences
     condition_number: float  # of the retained terms' matrix
     stop_reason: str         # the best restart's optimizer message
 
@@ -249,6 +271,11 @@ def solve(problem: VqlsProblem, optimizer: str = "cobyla", seed: int = 0,
     and the remaining restarts are skipped. The analytic estimator ignores
     shots, so its solves do not depend on them; shots below 1 are refused
     whatever the estimator.
+
+    `evaluations` counts the optimizer's cost evaluations, the ones in
+    `cost_trace`. lbfgs's finite-difference gradients call the cost 2P
+    times each for P parameters, outside that count and trace; those calls
+    are `gradient_evaluations`, 0 for cobyla.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -263,7 +290,14 @@ def solve(problem: VqlsProblem, optimizer: str = "cobyla", seed: int = 0,
         return cost(problem, theta, estimator=estimator, shots=shots,
                     rng=shot_rng)
 
-    grad = lambda t: optimize.finite_diff_gradient(objective, t)
+    gradient_evaluations = 0
+
+    def counted(theta):
+        nonlocal gradient_evaluations
+        gradient_evaluations += 1
+        return objective(theta)
+
+    grad = lambda t: optimize.finite_diff_gradient(counted, t)
     kappa = linsys.condition_number(problem.a_used)
     target = None
     if not sampled and math.isfinite(kappa):
@@ -299,5 +333,7 @@ def solve(problem: VqlsProblem, optimizer: str = "cobyla", seed: int = 0,
     return VqlsResult(theta=theta_best, w_state=w_state, w=w, cost_trace=trace,
                       final_cost=final_cost, residual=residual,
                       converged=bool(final_cost <= DEFAULT_COST_TOL),
-                      evaluations=evaluations, condition_number=kappa,
+                      evaluations=evaluations,
+                      gradient_evaluations=gradient_evaluations,
+                      condition_number=kappa,
                       stop_reason=best.message)

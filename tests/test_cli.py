@@ -247,6 +247,18 @@ class TestSolveVqls:
         assert values[0] == pytest.approx(5 / 11, abs=1e-3)
         assert values[1] == pytest.approx(2 / 11, abs=1e-3)
 
+    def test_prints_the_gradient_evaluations(self, tmp_path, capsys):
+        a_path, b_path = spd_system(tmp_path)
+        problem = vqls.VqlsProblem.from_system([[2.0, 0.5], [0.5, 1.5]], [1.0, 0.5])
+        for optimizer in ("lbfgs", "cobyla"):
+            main(["solve-vqls", "--matrix", a_path, "--rhs", b_path,
+                  "--optimizer", optimizer, "--restarts", "1", "--max-iters", "5"])
+            res = vqls.solve(problem, optimizer=optimizer, restarts=1, max_iters=5)
+            lines = capsys.readouterr().out.splitlines()
+            assert "evaluations %d" % res.evaluations in lines
+            assert "gradient evaluations %d" % res.gradient_evaluations in lines
+            assert (res.gradient_evaluations > 0) == (optimizer == "lbfgs")
+
     def test_budget_exhaustion_exits_2(self, tmp_path, capsys):
         a_path, b_path = spd_system(tmp_path)
         code = main(["solve-vqls", "--matrix", a_path, "--rhs", b_path,

@@ -12,6 +12,7 @@ from qforecast import pqc, qsim
 from qforecast.modelfile import load_any_model
 from qforecast.pqc import (PqcModel, TrainConfig, encode, gradient, loss,
                            model_circuit, predict, predict_batch, save_model, train)
+from test_qsim import count_constructions
 
 
 def small_model(num_qubits=4, seed=0, **kw):
@@ -210,7 +211,7 @@ class TestModelCircuit:
 
     def test_built_once_per_width(self, monkeypatch):
         # the cone plan reads model_circuit once per width, whatever the
-        # theta or the batch; predictions build only the plan's gates
+        # theta or the batch; predictions run the plan and build no gates
         built = []
 
         def counting(model):
@@ -356,6 +357,17 @@ class TestPredict:
 
 
 class TestLoss:
+    def test_builds_no_gate_or_statevector(self, monkeypatch):
+        # after the first call has read the cone plan, a loss is arrays only
+        rng = np.random.default_rng(41)
+        m = PqcModel.initialized()
+        windows = rng.uniform(-0.25, 0.25, size=(19, 12))
+        labels = rng.uniform(-0.25, 0.25, size=19)
+        loss(m, windows, labels)
+        built = count_constructions(monkeypatch)
+        loss(m.with_theta(rng.uniform(-math.pi, math.pi, 48)), windows, labels)
+        assert built == {"Gate": 0, "Circuit": 0, "Statevector": 0}
+
     def test_zero_when_labels_match_predictions(self):
         rng = np.random.default_rng(3)
         m = small_model(seed=4)
@@ -508,6 +520,37 @@ class TestTrain:
         assert not np.array_equal(fitted.theta[live], m.theta[live])
         assert result.x.tobytes() == fitted.theta.tobytes()
         assert loss(fitted, windows, labels) == result.fun
+
+    def test_windows_prepared_once_per_call(self, monkeypatch):
+        # each evaluation runs the plan on cone states built once per train
+        built = []
+        product_states = pqc._product_states
+
+        def counting(windows):
+            built.append(len(windows))
+            return product_states(windows)
+
+        monkeypatch.setattr(pqc, "_product_states", counting)
+        rng = np.random.default_rng(12)
+        m = small_model(seed=13)
+        windows, labels = self.make_data(rng, m)
+        _, result = train(m, windows, labels, TrainConfig(max_iters=30, max_evals=30))
+        assert result.evaluations == 30
+        assert built == [8]
+
+    @pytest.mark.parametrize("optimizer", ["cobyla", "lbfgs"])
+    def test_bad_data_fails_before_the_optimizer(self, monkeypatch, optimizer):
+        def no_search(*args):
+            raise AssertionError("the optimizer ran")
+
+        monkeypatch.setattr(pqc.optimize, "minimize", no_search)
+        config = TrainConfig(optimizer=optimizer)
+        with pytest.raises(ValueError, match="4 windows but 1 labels"):
+            train(small_model(), np.zeros((4, 4)), [0.0], config)
+        windows = np.zeros((2, 4))
+        windows[1, 3] = np.nan
+        with pytest.raises(ValueError, match="windows hold a non-finite value"):
+            train(small_model(), windows, [0.0, 0.0], config)
 
     def test_rejects_unknown_optimizer(self):
         with pytest.raises(ValueError):

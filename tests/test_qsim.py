@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qforecast import qsim
 from qforecast.qsim import (Circuit, Gate, Statevector, ancilla_estimate, apply_pauli,
                             circuit_unitary, expectation, hadamard_test, light_cone,
-                            run_batch, run_circuit)
+                            plan_of, run_batch, run_circuit, run_plan)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -64,6 +64,23 @@ def apply_one(state, gate):
 def random_state(rng, num_qubits):
     v = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
     return Statevector(v / np.linalg.norm(v))
+
+
+def count_constructions(monkeypatch):
+    """Count every Gate, Circuit and Statevector built from now on."""
+    built = {"Gate": 0, "Circuit": 0, "Statevector": 0}
+
+    def counting(kind, method):
+        def counted(self, *args):
+            built[kind] += 1
+            return method(self, *args)
+        return counted
+
+    # a Statevector holds its amplitudes through _hold, however it is built
+    for cls, name in ((Gate, "__post_init__"), (Circuit, "__init__"),
+                      (Statevector, "_hold")):
+        monkeypatch.setattr(cls, name, counting(cls.__name__, getattr(cls, name)))
+    return built
 
 
 def random_unitary(rng, dim):
@@ -261,6 +278,66 @@ class TestRunBatch:
     def test_rejects_rows_of_the_wrong_width(self):
         with pytest.raises(ValueError, match="do not fit 3 qubits"):
             run_batch(Circuit(3), np.zeros((2, 4)))
+
+
+@st.composite
+def planned_circuits(draw):
+    """A circuit of 1-6 qubits with every gate kind whose rotations each
+    read one of P parameters, built at theta_p = p and at random theta,
+    with that theta and a batch of random rows."""
+    n = draw(st.integers(1, 6))
+    angle = st.floats(-4 * math.pi, 4 * math.pi)
+    theta = np.array(draw(st.lists(angle, min_size=1, max_size=8)))
+    indexed, bound = Circuit(n), Circuit(n)
+    for _ in range(draw(st.integers(0, 30))):
+        name = draw(st.sampled_from(["h", "x", "rx", "ry", "rz"] + ["cnot"] * (n > 1)))
+        if name == "cnot":
+            pair = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                 unique=True))
+            indexed.cnot(*pair)
+            bound.cnot(*pair)
+            continue
+        q = draw(st.integers(0, n - 1))
+        p = draw(st.integers(0, len(theta) - 1)) if name[0] == "r" else None
+        indexed.add(Gate(name, (q,), None if p is None else p))
+        bound.add(Gate(name, (q,), None if p is None else theta[p]))
+    rows = draw(st.lists(st.lists(angle, min_size=2 << n, max_size=2 << n),
+                         min_size=1, max_size=3))
+    rows = np.array(rows)
+    return indexed, bound, theta, rows[:, 0::2] + 1j * rows[:, 1::2]
+
+
+class TestRunPlan:
+    @given(case=planned_circuits())
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_equals_run_batch_of_the_bound_circuit(self, case):
+        indexed, bound, theta, rows = case
+        plan = plan_of(indexed)
+        assert [(name, qubits) for name, qubits, _ in plan] == [
+            (g.name, g.qubits) for g in bound.gates]
+        before = rows.tobytes()
+        got = run_plan(indexed.num_qubits, plan, theta, rows)
+        assert got.tobytes() == run_batch(bound, rows).tobytes()
+        assert rows.tobytes() == before
+
+    def test_builds_no_gate_circuit_or_statevector(self, monkeypatch):
+        c = Circuit(2)
+        c.ry(0, 1)
+        c.cnot(0, 1)
+        c.rz(1, 0)
+        plan = plan_of(c)
+        assert plan == (("ry", (0,), 1), ("cnot", (0, 1), None), ("rz", (1,), 0))
+        built = count_constructions(monkeypatch)
+        run_plan(2, plan, [0.3, -1.2], np.eye(4))
+        assert built == {"Gate": 0, "Circuit": 0, "Statevector": 0}
+        run_circuit(c)  # the counters see what they count
+        assert built == {"Gate": 0, "Circuit": 0, "Statevector": 2}
+        Circuit(1).h(0)
+        assert built == {"Gate": 1, "Circuit": 1, "Statevector": 2}
+
+    def test_rejects_rows_of_the_wrong_width(self):
+        with pytest.raises(ValueError, match="do not fit 3 qubits"):
+            run_plan(3, (), [], np.zeros((2, 4)))
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Variational linear solver tests: ansatz layout, cost, rescale, solve."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from qforecast.vqls import (AnsatzSpec, VqlsProblem, ansatz_circuit, ansatz_stat
                             canonical_phase, cost, realign_to_real,
                             rescale, solve)
 from test_pauli import pauli_matrix
-from test_qsim import prepare_state
+from test_qsim import count_constructions, prepare_state
 
 
 def ry(t):
@@ -130,6 +131,88 @@ class TestAnsatzCircuit:
             t = rng.uniform(0, 2 * math.pi, size=18)
             state = ansatz_state(AnsatzSpec(3, 2), t)
             assert abs(np.linalg.norm(state) - 1.0) <= 1e-10
+
+
+def oracle_ansatz_state(spec, theta):
+    """The ansatz as objects: its Circuit of Gates run by qsim.run_circuit
+    from the Statevector |0...0>."""
+    return np.array(qsim.run_circuit(ansatz_circuit(spec, theta)).amplitudes)
+
+
+class TestAnsatzPlan:
+    @given(k=st.integers(1, 6), layers=st.integers(1, 3), data=st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_state_equals_the_circuit_oracle(self, k, layers, data):
+        spec = AnsatzSpec(k, layers)
+        theta = data.draw(hnp.arrays(np.float64, spec.num_parameters,
+                                     elements=st.floats(-4 * math.pi, 4 * math.pi)))
+        got = ansatz_state(spec, theta)
+        assert got.tobytes() == oracle_ansatz_state(spec, theta).tobytes()
+        assert got.flags.writeable
+
+    def test_plan_is_read_once_per_spec(self, monkeypatch):
+        built = []
+
+        def counting(spec, theta):
+            built.append(spec)
+            return ansatz_circuit(spec, theta)
+
+        monkeypatch.setattr(vqls, "ansatz_circuit", counting)
+        vqls.ansatz_plan.cache_clear()
+        try:
+            rng = np.random.default_rng(2)
+            for spec in (AnsatzSpec(2, 1), AnsatzSpec(3, 2)) * 2:
+                for _ in range(3):
+                    ansatz_state(spec, rng.uniform(0, 2 * math.pi, spec.num_parameters))
+            assert built == [AnsatzSpec(2, 1), AnsatzSpec(3, 2)]
+        finally:
+            vqls.ansatz_plan.cache_clear()
+
+    def test_wrong_length_theta_raises_the_same_error(self):
+        spec = AnsatzSpec(2, 1)
+        p = VqlsProblem.from_system(np.diag([1.0, 2.0, 3.0, 4.0]), np.ones(4))
+        message = re.escape("theta has shape (7,), expected (8,)")
+        for call in (lambda t: ansatz_circuit(spec, t), lambda t: ansatz_state(spec, t),
+                     lambda t: cost(p, t), lambda t: cost(p, t, estimator="hadamard")):
+            with pytest.raises(ValueError, match=message):
+                call(np.zeros(7))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_theta_rejected(self, bad):
+        theta = np.zeros(8)
+        theta[3] = bad
+        p = VqlsProblem.from_system(np.diag([1.0, 2.0, 3.0, 4.0]), np.ones(4))
+        for call in (lambda: ansatz_state(AnsatzSpec(2, 1), theta),
+                     lambda: cost(p, theta), lambda: cost(p, theta, estimator="hadamard")):
+            with pytest.raises(ValueError, match="theta contains non-finite values"):
+                call()
+
+    @pytest.mark.parametrize("estimator", ["analytic", "hadamard"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_solve_equals_the_oracle_solve(self, monkeypatch, seed, estimator):
+        # criterion 04's systems 0 and 1, on a short budget
+        p = VqlsProblem.from_system(*criterion_04_system(seed))
+        kwargs = dict(seed=seed, restarts=2, max_iters=150, estimator=estimator)
+        got = solve(p, **kwargs)
+        monkeypatch.setattr(vqls, "ansatz_state", oracle_ansatz_state)
+        want = solve(p, **kwargs)
+        assert np.array(got.cost_trace).tobytes() == np.array(want.cost_trace).tobytes()
+        assert got.evaluations == want.evaluations == 300
+        assert got.w.tobytes() == want.w.tobytes()
+
+    def test_cost_builds_no_gate_or_statevector(self, monkeypatch):
+        # after the first call has read the plan, an evaluation is arrays only
+        p = VqlsProblem.from_system(*criterion_04_system(0))
+        theta = np.random.default_rng(3).uniform(0, 2 * math.pi, 8)
+        settings = [("analytic", None), ("hadamard", None), ("hadamard", 100)]
+        for estimator, shots in settings:
+            cost(p, theta, estimator=estimator, shots=shots, rng=0)
+        built = count_constructions(monkeypatch)
+        for estimator, shots in settings:
+            cost(p, theta + 0.5, estimator=estimator, shots=shots, rng=0)
+        assert built == {"Gate": 0, "Circuit": 0, "Statevector": 0}
+        oracle_ansatz_state(AnsatzSpec(2, 1), theta)
+        assert built == {"Gate": 9, "Circuit": 1, "Statevector": 2}
 
 
 class TestVqlsProblem:
@@ -452,6 +535,26 @@ class TestSolve:
         res = solve(p, seed=0, restarts=2, max_iters=200)
         assert len(res.cost_trace) == res.evaluations
         assert res.evaluations <= 2 * 200
+
+    @pytest.mark.parametrize("optimizer", ["cobyla", "lbfgs"])
+    def test_every_cost_call_is_counted(self, monkeypatch, optimizer):
+        # lbfgs's finite-difference gradients call the cost 2P times each,
+        # outside the optimizer's count; gradient_evaluations counts them
+        calls = []
+        counted = cost
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(vqls, "cost", counting)
+        p = VqlsProblem.from_system(np.array([[2.0, 1.0], [1.0, 3.0]]), np.ones(2))
+        res = solve(p, optimizer=optimizer, restarts=5, max_iters=5)
+        assert res.evaluations + res.gradient_evaluations == len(calls)
+        assert res.evaluations == len(res.cost_trace) == 25
+        want = {"cobyla": 0, "lbfgs": 192}[optimizer]
+        assert res.gradient_evaluations == want
+        assert want % (2 * AnsatzSpec.default(1).num_parameters) == 0
 
     def test_unconverged_flag_on_tiny_budget(self):
         rng = np.random.default_rng(13)
