@@ -260,7 +260,14 @@ def minimize_quasi_newton(fun, x0, grad, options: OptimOptions | None = None,
 def minimize(method: str, fun, x0, grad, options: OptimOptions | None = None,
              ) -> OptimResult:
     """Minimize by the named method: cobyla is minimize_derivative_free,
-    which ignores grad; lbfgs is minimize_quasi_newton."""
+    which ignores grad; lbfgs is minimize_quasi_newton.
+
+    The name cobyla is kept for its callers. minimize_derivative_free is a
+    linear-interpolation trust-region search written here, not Powell's
+    COBYLA: on acceptance criterion 04's ten VQLS systems it makes 59,232
+    evaluations and certifies 6, where scipy's COBYLA (rhobeg 0.5, tol
+    1e-6, the same starts, target and budget) makes 48,055 and certifies 7.
+    """
     if method == "cobyla":
         return minimize_derivative_free(fun, x0, options)
     if method == "lbfgs":

@@ -4,12 +4,16 @@ Conventions:
     * Qubit 0 is the leftmost tensor factor, i.e. the most significant bit
       of the basis index: |q0 q1 ... q_{k-1}>.
     * States are complex128 and unit norm; operations return new states.
-    * Gates are h, x, rx, ry, rz and cnot. Each goes through one of the two
-      in-place numpy kernels of qforecast.backend.
+    * Gates are h, x, rx, ry, rz and cnot.
     * A circuit runs from its Gate objects (`run_batch`, `run_circuit`), or
       from its plan (`plan_of`, `run_plan`): its structure read once, with
       the angles bound at each run and no Gate built, for a variational
-      circuit run at many thetas.
+      circuit run at many thetas. Both apply each gate with one of the two
+      in-place numpy kernels of qforecast.backend, to a batch of states.
+    * `plan_state` runs a paired plan (`pair_plan`) on |0...0> alone, in
+      plain Python arithmetic: on a few qubits numpy's fixed cost per call
+      outweighs the work. It equals `run_plan` to rounding, not bit for
+      bit. The VQLS ansatz state runs this way.
 """
 
 from __future__ import annotations
@@ -52,7 +56,8 @@ _ROTATIONS = {"rx": _rx, "ry": _ry, "rz": _rz}
 
 def _entries(name: str, angle: float | None) -> tuple:
     """m00, m01, m10, m11 of the single-qubit gate `name` at `angle`: the
-    one source of the numbers `Gate.matrix` holds and `run_plan` applies."""
+    one source of the numbers `Gate.matrix` holds and `run_plan` and
+    `plan_state` apply."""
     fixed = _FIXED_1Q.get(name)
     return fixed if fixed is not None else _ROTATIONS[name](angle)
 
@@ -238,6 +243,54 @@ def run_plan(num_qubits: int, plan: Plan, theta, amplitudes) -> np.ndarray:
         (qubits, None if name == "cnot" else
          _entries(name, None if p is None else angles[p]))
         for name, qubits, p in plan), amplitudes)
+
+
+PairedPlan = tuple[tuple[str, int | None, tuple[tuple[int, int], ...]], ...]
+
+
+def pair_plan(num_qubits: int, plan: Plan) -> PairedPlan:
+    """`plan` for `plan_state`: each step's qubits replaced by the pairs of
+    amplitude indices (i, j) its gate acts on, read once per plan.
+
+    A single-qubit gate on qubit q mixes each i whose bit for q is 0 with
+    j = i plus that bit; a cnot swaps each i whose control bit is 1 and
+    target bit 0 with j = i plus the target bit.
+    """
+    dim = 1 << num_qubits
+    paired = []
+    for name, qubits, p in plan:
+        bits = [1 << (num_qubits - 1 - q) for q in qubits]
+        target = bits[-1]
+        control = bits[0] if name == "cnot" else 0
+        pairs = tuple((i, i | target) for i in range(dim)
+                      if not i & target and i & control == control)
+        paired.append((name, p, pairs))
+    return tuple(paired)
+
+
+def plan_state(num_qubits: int, paired: PairedPlan, theta) -> np.ndarray:
+    """The plan `paired` was made from, run at `theta` on |0...0>, in plain
+    Python complex arithmetic on a list of amplitudes.
+
+    For an unbatched state of a few qubits this avoids numpy's fixed cost
+    per kernel call. The rotation entries are `run_plan`'s (`_entries`);
+    the sums are not fused multiply-adds as in numpy's complex multiply, so
+    the result matches `run_plan` to rounding, not bit for bit.
+    """
+    angles = np.asarray(theta, dtype=float).tolist()
+    amps = [0j] * (1 << num_qubits)
+    amps[0] = 1 + 0j
+    for name, p, pairs in paired:
+        if name == "cnot":
+            for i, j in pairs:
+                amps[i], amps[j] = amps[j], amps[i]
+            continue
+        m00, m01, m10, m11 = _entries(name, None if p is None else angles[p])
+        for i, j in pairs:
+            a, b = amps[i], amps[j]
+            amps[i] = m00 * a + m01 * b
+            amps[j] = m10 * a + m11 * b
+    return np.array(amps)
 
 
 def run_circuit(circuit: Circuit, initial: Statevector | None = None) -> Statevector:

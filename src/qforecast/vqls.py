@@ -100,19 +100,20 @@ def ansatz_circuit(spec: AnsatzSpec, theta) -> qsim.Circuit:
 
 
 @functools.lru_cache(maxsize=16)
-def ansatz_plan(spec: AnsatzSpec) -> qsim.Plan:
-    """`ansatz_circuit`'s gates as `qsim.plan_of` steps, read once per spec
-    on first use at theta_p = p: the structure does not depend on theta."""
-    return qsim.plan_of(ansatz_circuit(spec, np.arange(spec.num_parameters)))
+def ansatz_plan(spec: AnsatzSpec) -> qsim.PairedPlan:
+    """`ansatz_circuit`'s gates as `qsim.plan_of` steps paired for
+    `qsim.plan_state`, read once per spec on first use at theta_p = p: the
+    structure does not depend on theta."""
+    circuit = ansatz_circuit(spec, np.arange(spec.num_parameters))
+    return qsim.pair_plan(spec.num_qubits, qsim.plan_of(circuit))
 
 
 def ansatz_state(spec: AnsatzSpec, theta) -> np.ndarray:
-    """|x(theta)>: `ansatz_circuit(spec, theta)` run on |0...0>, through its
-    plan, with the same bits as `qsim.run_circuit` gives."""
+    """|x(theta)>: `ansatz_circuit(spec, theta)` run on |0...0> through its
+    plan by `qsim.plan_state`; equal to `qsim.run_circuit`'s state up to
+    rounding (the two differ by about 1e-16)."""
     theta = _checked_theta(spec, theta)
-    zero = np.zeros(1 << spec.num_qubits, dtype=complex)
-    zero[0] = 1.0
-    return qsim.run_plan(spec.num_qubits, ansatz_plan(spec), theta, zero)
+    return qsim.plan_state(spec.num_qubits, ansatz_plan(spec), theta)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ import pytest
 
 from qforecast import baselines, pqc
 from qforecast.datagen import GeneratorConfig, generate, trending_series
-from qforecast.linsys import preprocess, read_series_csv
+from qforecast.linsys import (WindowSystem, normal_equations, preprocess,
+                              read_series_csv, solve_classical)
 from qforecast.pipeline import (
     KINDS,
     ModelSpec,
@@ -241,6 +242,19 @@ class TestRunPipelineModels:
         lin, vq = run.reports
         assert vq.extras["converged"]
         assert vq.train_mse == pytest.approx(lin.train_mse, abs=1e-3)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_vqls_test_mse_equals_exact_least_squares(self, seed):
+        # the default series and split: the certified solve moves the
+        # forecast's test MSE by about 1e-6 from the exact solution's
+        series = generate(GeneratorConfig(seed=seed))
+        run = run_pipeline(series, specs=[ModelSpec(kind="vqls")], seed=seed)
+        r = run.reports[0]
+        windows, train = preprocess(series, run.split_date).windows(r.window)
+        system = WindowSystem(X=windows.X[train], y=windows.y[train], window=r.window)
+        w = solve_classical(normal_equations(system))
+        exact = baselines.mse(windows.X[~train] @ w, windows.y[~train])
+        assert abs(r.test_mse - exact) <= 1e-5
 
 
 class TestFit:

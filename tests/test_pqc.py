@@ -421,7 +421,7 @@ class TestGradient:
             gradient(small_model(), np.zeros((4, 4)), [0.0], method=method)
 
     @given(data=st.data(), k=st.integers(1, 5))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     def test_equals_the_full_circuit_oracle(self, data, k):
         # k = 1 and 2 have degenerate entangler patterns
         angles = st.floats(-math.pi, math.pi)

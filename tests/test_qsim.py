@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from qforecast import qsim
 from qforecast.qsim import (Circuit, Gate, Statevector, ancilla_estimate, apply_pauli,
                             circuit_unitary, expectation, hadamard_test, light_cone,
-                            plan_of, run_batch, run_circuit, run_plan)
+                            pair_plan, plan_of, plan_state, run_batch, run_circuit,
+                            run_plan)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -338,6 +339,29 @@ class TestRunPlan:
     def test_rejects_rows_of_the_wrong_width(self):
         with pytest.raises(ValueError, match="do not fit 3 qubits"):
             run_plan(3, (), [], np.zeros((2, 4)))
+
+
+class TestPlanState:
+    @given(case=planned_circuits())
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_equals_run_plan_on_the_zero_state(self, case):
+        indexed, _, theta, _ = case
+        n = indexed.num_qubits
+        plan = plan_of(indexed)
+        zero = np.zeros(1 << n, dtype=complex)
+        zero[0] = 1.0
+        got = plan_state(n, pair_plan(n, plan), theta)
+        assert got.dtype == complex and got.shape == zero.shape
+        # plain Python sums are not fused multiply-adds as numpy's are
+        assert np.max(np.abs(got - run_plan(n, plan, theta, zero))) <= 1e-12
+
+    def test_pairs_follow_the_qubit_order(self):
+        # qubit 0 is the most significant bit of the index
+        plan = (("ry", (0,), 0), ("rz", (2,), 1), ("cnot", (1, 0), None))
+        assert pair_plan(3, plan) == (
+            ("ry", 0, ((0, 4), (1, 5), (2, 6), (3, 7))),
+            ("rz", 1, ((0, 1), (2, 3), (4, 5), (6, 7))),
+            ("cnot", None, ((2, 6), (3, 7))))
 
 
 @st.composite
