@@ -2,13 +2,13 @@
 
 Architecture (for k qubits, default 12): each of the k window values is
 angle-encoded as RY(x_i) on its own qubit, giving the product state of the
-(cos x_i/2, sin x_i/2) (`encode`), followed by two variational blocks that
-depend on theta only (`model_circuit`). Block L applies a CNOT entangling
-pattern and then RX(theta), RY(theta) on every qubit. The first pattern
-pairs neighbors (0,1), (2,3), ...; the second shifts by one, (1,2), (3,4),
-..., and closes the ring with (k-1, 0) when k >= 3. The prediction is the
-expectation of Z on qubit 0, so outputs live in [-1, 1] and match the
-scaled-difference target range. Predictions run, and training searches,
+(cos x_i/2, sin x_i/2) (`_product_states`), followed by two variational
+blocks that depend on theta only (`model_plan`). Block L applies a CNOT
+entangling pattern and then RX(theta), RY(theta) on every qubit. The first
+pattern pairs neighbors (0,1), (2,3), ...; the second shifts by one, (1,2),
+(3,4), ..., and closes the ring with (k-1, 0) when k >= 3. The prediction
+is the expectation of Z on qubit 0, so outputs live in [-1, 1] and match
+the scaled-difference target range. Predictions run, and training searches,
 only the readout's light cone (`cone_plan`).
 
 Parameters are flat, layer-major then qubit-minor, RX before RY:
@@ -69,15 +69,11 @@ class PqcModel:
         return predict_batch(self, windows)
 
 
-def encode(window) -> qsim.Statevector:
-    """RY(x_0) ... RY(x_{k-1}) |0...0>, multiplied out from qubit 0 as the
-    gates would: the same bits, up to the sign of an exact zero."""
-    return qsim.Statevector(_product_states(np.reshape(window, (1, -1)))[0])
-
-
 def _product_states(windows: np.ndarray) -> np.ndarray:
-    """Row i is the product state of window i, the Kronecker product of its
-    factors (cos x_j/2, sin x_j/2) multiplied out from the first entry."""
+    """Row i is the product state of window i, RY(x_0) ... RY(x_{k-1})
+    |0...0>: the Kronecker product of its factors (cos x_j/2, sin x_j/2),
+    multiplied out from the first entry as the gates would, so the same
+    bits up to the sign of an exact zero."""
     half = np.asarray(windows, dtype=float) / 2
     factors = np.stack([np.cos(half), np.sin(half)], axis=-1)
     amps = np.ones((len(half), 1))
@@ -95,32 +91,31 @@ def _entangler_pairs(num_qubits: int, block: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def model_circuit(model: PqcModel) -> qsim.Circuit:
-    """The two variational blocks, run on the state `encode` gives."""
-    k = model.num_qubits
-    circuit = qsim.Circuit(k)
+def model_plan(num_qubits: int) -> qsim.Plan:
+    """The two variational blocks as (gate, qubits, theta index) steps,
+    run on a window's product state: the circuit's one definition."""
+    plan = []
     for block in range(VARIATIONAL_BLOCKS):
-        for control, target in _entangler_pairs(k, block):
-            circuit.cnot(control, target)
-        base = block * 2 * k
-        for q in range(k):
-            circuit.rx(q, model.theta[base + 2 * q])
-            circuit.ry(q, model.theta[base + 2 * q + 1])
-    return circuit
+        plan += [("cnot", pair, None)
+                 for pair in _entangler_pairs(num_qubits, block)]
+        base = block * 2 * num_qubits
+        for q in range(num_qubits):
+            plan += [("rx", (q,), base + 2 * q), ("ry", (q,), base + 2 * q + 1)]
+    return tuple(plan)
 
 
 @dataclass(frozen=True)
 class ConePlan:
-    """The readout's light cone of `model_circuit`, for any theta.
+    """The readout's light cone of `model_plan`, for any theta.
 
-    `qubits` are the cone's qubits in register order; each entry of
-    `gates` is a kept gate's (name, qubits renumbered onto the cone, theta
-    index), in circuit order, with index None for a cnot. `live` are the
-    theta indices the gates read: the only parameters <Z_0> depends on.
+    `qubits` are the cone's qubits in register order; `gates` holds the
+    kept steps of `model_plan`, in order, with their qubits renumbered onto
+    the cone. `live` are the theta indices the gates read: the only
+    parameters <Z_0> depends on.
     """
 
     qubits: tuple[int, ...]
-    gates: tuple[tuple[str, tuple[int, ...], int | None], ...]
+    gates: qsim.Plan
 
     @property
     def live(self) -> tuple[int, ...]:
@@ -137,16 +132,10 @@ class ConePlan:
 
 @functools.lru_cache(maxsize=MAX_QUBITS)
 def cone_plan(num_qubits: int) -> ConePlan:
-    """The cone plan of a `num_qubits` model, built on first use per width.
-
-    The cone's structure depends only on the width: it is read off
-    `model_circuit` at theta_p = p, where each kept rotation's angle is its
-    own theta index.
-    """
-    indices = PqcModel(theta=np.arange(VARIATIONAL_BLOCKS * 2 * num_qubits),
-                       num_qubits=num_qubits)
-    qubits, circuit = qsim.light_cone(model_circuit(indices), [0])
-    return ConePlan(qubits, qsim.plan_of(circuit))
+    """The cone plan of a `num_qubits` model, built on first use per width:
+    `qsim.light_cone` of qubit 0 through `model_plan`, whose structure
+    depends only on the width."""
+    return ConePlan(*qsim.light_cone(num_qubits, model_plan(num_qubits), [0]))
 
 
 def predict(model: PqcModel, window) -> float:
@@ -156,15 +145,15 @@ def predict(model: PqcModel, window) -> float:
 def predict_batch(model: PqcModel, windows) -> np.ndarray:
     """<Z_0> per window, simulated on the readout's backward light cone.
 
-    Only the gates of `model_circuit` that can reach qubit 0, which
-    `cone_plan` lists, are run at the model's theta (`qsim.run_plan`, with
-    no Gate built) on the qubits they touch, for all windows at once: each
-    row is a window's product state on those qubits. For the paper's 12
-    qubits the cone is qubits (0, 1, 10, 11) and 9 gates, so a prediction
-    reads window months t-12, t-11, t-2 and t-1 through theta 0, 1, 22, 23,
-    24 and 25. Every width up to 16 has a cone of at most 5 qubits, 4 for an
-    even width. The gates left out cannot change <Z_0> (`qsim.light_cone`),
-    so the values equal the whole circuit's up to rounding.
+    Only the steps of `model_plan` that can reach qubit 0, which
+    `cone_plan` lists, are run at the model's theta (`qsim.run_plan`) on
+    the qubits they touch, for all windows at once: each row is a window's
+    product state on those qubits. For the paper's 12 qubits the cone is
+    qubits (0, 1, 10, 11) and 9 gates, so a prediction reads window months
+    t-12, t-11, t-2 and t-1 through theta 0, 1, 22, 23, 24 and 25. Every
+    width up to 16 has a cone of at most 5 qubits, 4 for an even width. The
+    gates left out cannot change <Z_0> (`qsim.light_cone`), so the values
+    equal the whole circuit's up to rounding.
     """
     windows = _checked_windows(model, windows)
     plan = cone_plan(model.num_qubits)
@@ -211,11 +200,14 @@ def gradient(model: PqcModel, windows, labels,
 
     The residual comes from `predict_batch`, so this is the exact
     derivative of the `loss` an optimizer sees. The shifted predictions run
-    on the whole register: each window runs the circuit once, and theta_p's
-    two branches start from that forward state just after theta_p's gate,
-    rotate once more by +-pi/2 about the same axis (R(theta + s) =
-    R(s) R(theta)), and run the rest of the circuit. A circuit of G gates
-    that ends in a rotation, with its P rotations at positions g_p, applies
+    `model_plan` on the whole register through `qsim.run_plan`, one window
+    at a time from its product state: each window runs the plan once, and
+    theta_p's two branches start from that forward state just after
+    theta_p's step, rotate once more by +-pi/2 about the same axis
+    (R(theta + s) = R(s) R(theta)), and run the rest of the plan. That is
+    the plan from theta_p's step on, at a copy of theta whose entry p is
+    +-pi/2, since no later step reads theta_p. A plan of G steps that ends
+    in a rotation, with its P rotations at positions g_p, applies
     G + 2 * sum(G - g_p) gates per window, where 2P + 1 whole circuits
     would apply (2P + 1) * G: 2,700 instead of 5,820 at 12 qubits.
     """
@@ -231,34 +223,25 @@ def gradient(model: PqcModel, windows, labels,
         raise ValueError(f"method must be 'parameter-shift' or "
                          f"'finite-difference', got {method!r}")
     k = model.num_qubits
-    gates = model_circuit(model).gates
-    # the p-th rotation gate carries theta_p
-    rotations = [i for i, gate in enumerate(gates) if gate.name != "cnot"]
-    bounds = [0, *(i + 1 for i in rotations)]
-    forward = [_circuit(k, gates[a:b]) for a, b in zip(bounds, bounds[1:])]
-    shifted = [[_circuit(k, [qsim.Gate(gates[i].name, gates[i].qubits, step),
-                             *gates[i + 1:]])
-                for step in (math.pi / 2, -math.pi / 2)] for i in rotations]
-    up = np.empty((len(rotations), len(windows)))
+    plan = model_plan(k)
+    rotations = [(i, p) for i, (_, _, p) in enumerate(plan) if p is not None]
+    up = np.empty((model.num_parameters, len(windows)))
     down = np.empty_like(up)
-    for w, window in enumerate(windows):
-        state = encode(window)
-        for p, (segment, (plus, minus)) in enumerate(zip(forward, shifted)):
-            state = qsim.run_circuit(segment, state)
-            up[p, w] = _z0(qsim.run_circuit(plus, state).amplitudes)
-            down[p, w] = _z0(qsim.run_circuit(minus, state).amplitudes)
+    for w, state in enumerate(_product_states(windows)):
+        start = 0
+        for i, p in rotations:
+            state = qsim.run_plan(k, plan[start:i + 1], model.theta, state)
+            start = i + 1
+            theta = model.theta.copy()
+            theta[p] = math.pi / 2
+            up[p, w] = _z0(qsim.run_plan(k, plan[i:], theta, state))
+            theta[p] = -math.pi / 2
+            down[p, w] = _z0(qsim.run_plan(k, plan[i:], theta, state))
     residual = 2.0 * (predict_batch(model, windows) - labels) / labels.size
     grad = np.empty(model.num_parameters)
     for p in range(model.num_parameters):
         grad[p] = float(residual @ ((up[p] - down[p]) / 2.0))
     return grad
-
-
-def _circuit(num_qubits: int, gates) -> qsim.Circuit:
-    circuit = qsim.Circuit(num_qubits)
-    for gate in gates:
-        circuit.add(gate)
-    return circuit
 
 
 @dataclass

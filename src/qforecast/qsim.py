@@ -5,22 +5,25 @@ Conventions:
       of the basis index: |q0 q1 ... q_{k-1}>.
     * States are complex128 and unit norm; operations return new states.
     * Gates are h, x, rx, ry, rz and cnot.
-    * A circuit runs from its Gate objects (`run_batch`, `run_circuit`), or
-      from its plan (`plan_of`, `run_plan`): its structure read once, with
-      the angles bound at each run and no Gate built, for a variational
-      circuit run at many thetas. Both apply each gate with one of the two
-      in-place numpy kernels of qforecast.backend, to a batch of states.
+    * A circuit is a plan: (name, qubits, theta index) steps, index None
+      for a gate with no angle. `run_plan` binds theta at each run and
+      applies each step to a batch of states with one of the two in-place
+      numpy kernels of qforecast.backend; `light_cone` cuts a plan to the
+      steps that can reach a set of qubits.
     * `plan_state` runs a paired plan (`pair_plan`) on |0...0> alone, in
       plain Python arithmetic: on a few qubits numpy's fixed cost per call
       outweighs the work. It equals `run_plan` to rounding, not bit for
       bit. The VQLS ansatz state runs this way.
+    * `Gate`, `Circuit`, `Statevector`, `run_batch`, `run_circuit`,
+      `circuit_unitary` and `expectation` run circuits gate by gate: the
+      oracle that the tests and the benchmark check plans against.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,8 +59,8 @@ _ROTATIONS = {"rx": _rx, "ry": _ry, "rz": _rz}
 
 def _entries(name: str, angle: float | None) -> tuple:
     """m00, m01, m10, m11 of the single-qubit gate `name` at `angle`: the
-    one source of the numbers `Gate.matrix` holds and `run_plan` and
-    `plan_state` apply."""
+    one source of the numbers `run_plan` and `plan_state` apply, and the
+    oracle's `Gate` holds."""
     fixed = _FIXED_1Q.get(name)
     return fixed if fixed is not None else _ROTATIONS[name](angle)
 
@@ -78,9 +81,7 @@ class Statevector:
     num_qubits: int = field(init=False)
 
     def __post_init__(self):
-        self._hold(np.array(self.amplitudes, dtype=complex))
-
-    def _hold(self, amps: np.ndarray) -> None:
+        amps = np.array(self.amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.size == 0 or amps.size & (amps.size - 1):
             raise ValueError(f"amplitude length {amps.size} is not a power of two")
         norm = np.linalg.norm(amps)
@@ -89,14 +90,6 @@ class Statevector:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "num_qubits", amps.size.bit_length() - 1)
-
-    @classmethod
-    def _of_buffer(cls, amps: np.ndarray) -> "Statevector":
-        """The state over `amps` itself, not a copy, for a complex128 buffer
-        that nothing else holds; checked and made read-only as usual."""
-        state = object.__new__(cls)
-        state._hold(amps)
-        return state
 
     @classmethod
     def zero(cls, num_qubits: int) -> "Statevector":
@@ -219,24 +212,14 @@ def run_batch(circuit: Circuit, amplitudes) -> np.ndarray:
 Plan = tuple[tuple[str, tuple[int, ...], int | None], ...]
 
 
-def plan_of(circuit: Circuit) -> Plan:
-    """A circuit's structure apart from its angles, for `run_plan`.
-
-    `circuit` must be built with each rotation's angle equal to the index
-    of the parameter it reads (theta_p = p). Each step is a gate's (name,
-    qubits, parameter index), in circuit order, with index None for a gate
-    that takes no angle.
-    """
-    return tuple((g.name, g.qubits, None if g.angle is None else int(g.angle))
-                 for g in circuit.gates)
-
-
 def run_plan(num_qubits: int, plan: Plan, theta, amplitudes) -> np.ndarray:
-    """`run_batch` of the circuit `plan` was read from, built at `theta`.
+    """Apply the steps of `plan`, each rotation at theta[index], in order
+    to every row of `amplitudes`, an array whose last axis has length
+    2**num_qubits; returns the results as a new array.
 
-    Each rotation's entries come from the function `Gate` builds its
-    entries with, at theta[index], so the result is bitwise the same; but
-    no Gate or Circuit is built, and no qubit is checked again.
+    Each rotation's entries come from `_entries`, as the oracle `Gate`'s
+    do, so the result is bitwise `run_batch`'s on the plan's gates built at
+    `theta`; but no Gate or Circuit is built, and no qubit is checked.
     """
     angles = np.asarray(theta, dtype=float).tolist()
     return _run(num_qubits, (
@@ -300,41 +283,39 @@ def run_circuit(circuit: Circuit, initial: Statevector | None = None) -> Stateve
     if initial.num_qubits != circuit.num_qubits:
         raise ValueError(f"state has {initial.num_qubits} qubits, "
                          f"circuit has {circuit.num_qubits}")
-    return Statevector._of_buffer(run_batch(circuit, initial.amplitudes))
+    return Statevector(run_batch(circuit, initial.amplitudes))
 
 
-def light_cone(circuit: Circuit, qubits) -> tuple[tuple[int, ...], Circuit]:
-    """The backward light cone of `qubits` through `circuit`.
+def light_cone(num_qubits: int, plan: Plan, qubits) -> tuple[tuple[int, ...], Plan]:
+    """The backward light cone of `qubits` through `plan`.
 
-    Walks the gates from last to first, keeps each gate that touches the
-    cone, adds that gate's qubits to the cone, and drops every other gate.
-    Returns the cone's qubits in register order and a circuit on them that
-    holds the kept gates in their order, renumbered so that cone qubit i is
+    Walks the steps from last to first, keeps each step that touches the
+    cone, adds that step's qubits to the cone, and drops every other step.
+    Returns the cone's qubits in register order and a plan on them that
+    holds the kept steps in their order, renumbered so that cone qubit i is
     its qubit i.
 
-    A dropped gate acts only on qubits that no later kept gate reaches, so
+    A dropped step acts only on qubits that no later kept step reaches, so
     it cannot change any observable on `qubits`. On an input that is a
-    product of the cone's state and the rest, the returned circuit run on
-    the cone's factors therefore gives the same expectation of any Pauli
-    string on `qubits` as the whole circuit (Farhi, Goldstone & Gutmann,
-    arXiv:1411.4028).
+    product of the cone's state and the rest, the returned plan run on the
+    cone's factors therefore gives the same expectation of any Pauli
+    string on `qubits` as the whole plan, at any theta (Farhi, Goldstone &
+    Gutmann, arXiv:1411.4028).
     """
     cone = set()
     for q in qubits:
-        if not 0 <= q < circuit.num_qubits:
-            raise ValueError(f"qubit {q} out of range for {circuit.num_qubits} qubits")
+        if not 0 <= q < num_qubits:
+            raise ValueError(f"qubit {q} out of range for {num_qubits} qubits")
         cone.add(int(q))
     kept = []
-    for gate in reversed(circuit.gates):
-        if cone.intersection(gate.qubits):
-            cone.update(gate.qubits)
-            kept.append(gate)
+    for step in reversed(plan):
+        if cone.intersection(step[1]):
+            cone.update(step[1])
+            kept.append(step)
     order = tuple(sorted(cone))
     index = {q: i for i, q in enumerate(order)}
-    restricted = Circuit(len(order))
-    for gate in reversed(kept):
-        restricted.add(replace(gate, qubits=tuple(index[q] for q in gate.qubits)))
-    return order, restricted
+    return order, tuple((name, tuple(index[q] for q in step_qubits), p)
+                        for name, step_qubits, p in reversed(kept))
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:

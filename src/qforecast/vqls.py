@@ -82,38 +82,32 @@ def _checked_theta(spec: AnsatzSpec, theta) -> np.ndarray:
     return theta
 
 
-def ansatz_circuit(spec: AnsatzSpec, theta) -> qsim.Circuit:
-    """The ansatz at theta, gate by gate: its one definition."""
-    theta = _checked_theta(spec, theta)
+def ansatz_plan(spec: AnsatzSpec) -> qsim.Plan:
+    """The ansatz as (gate, qubits, theta index) steps: its one definition."""
     k = spec.num_qubits
-    circuit = qsim.Circuit(k)
-    pos = 0
+    plan = []
     for layer in range(spec.layers + 1):
         if layer > 0:
-            for q in range(k - 1):
-                circuit.cnot(q, q + 1)
+            plan += [("cnot", (q, q + 1), None) for q in range(k - 1)]
         for q in range(k):
-            circuit.ry(q, theta[pos])
-            circuit.rz(q, theta[pos + 1])
-            pos += 2
-    return circuit
+            pos = 2 * (layer * k + q)
+            plan += [("ry", (q,), pos), ("rz", (q,), pos + 1)]
+    return tuple(plan)
 
 
 @functools.lru_cache(maxsize=16)
-def ansatz_plan(spec: AnsatzSpec) -> qsim.PairedPlan:
-    """`ansatz_circuit`'s gates as `qsim.plan_of` steps paired for
-    `qsim.plan_state`, read once per spec on first use at theta_p = p: the
-    structure does not depend on theta."""
-    circuit = ansatz_circuit(spec, np.arange(spec.num_parameters))
-    return qsim.pair_plan(spec.num_qubits, qsim.plan_of(circuit))
+def _paired_plan(spec: AnsatzSpec) -> qsim.PairedPlan:
+    """`ansatz_plan` paired for `qsim.plan_state`, once per spec on first
+    use: the structure does not depend on theta."""
+    return qsim.pair_plan(spec.num_qubits, ansatz_plan(spec))
 
 
 def ansatz_state(spec: AnsatzSpec, theta) -> np.ndarray:
-    """|x(theta)>: `ansatz_circuit(spec, theta)` run on |0...0> through its
-    plan by `qsim.plan_state`; equal to `qsim.run_circuit`'s state up to
-    rounding (the two differ by about 1e-16)."""
+    """|x(theta)>: `ansatz_plan(spec)` run at theta on |0...0> by
+    `qsim.plan_state`, equal up to rounding (about 1e-16) to its gates run
+    one by one through numpy."""
     theta = _checked_theta(spec, theta)
-    return qsim.plan_state(spec.num_qubits, ansatz_plan(spec), theta)
+    return qsim.plan_state(spec.num_qubits, _paired_plan(spec), theta)
 
 
 @dataclass(frozen=True)

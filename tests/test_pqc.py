@@ -10,9 +10,9 @@ from hypothesis.extra import numpy as hnp
 
 from qforecast import pqc, qsim
 from qforecast.modelfile import load_any_model
-from qforecast.pqc import (PqcModel, TrainConfig, encode, gradient, loss,
-                           model_circuit, predict, predict_batch, save_model, train)
-from test_qsim import count_constructions
+from qforecast.pqc import (PqcModel, TrainConfig, gradient, loss, model_plan,
+                           predict, predict_batch, save_model, train)
+from test_qsim import bind, count_constructions
 
 
 def small_model(num_qubits=4, seed=0, **kw):
@@ -59,9 +59,20 @@ def ry_circuit(window):
     return circuit
 
 
+def model_circuit(model):
+    """The oracle's form of the model: model_plan's gates built at its theta."""
+    return bind(model.num_qubits, model_plan(model.num_qubits), model.theta)
+
+
+def encode(window):
+    """A window's angle-encoded state, the product state the gradient
+    starts from."""
+    return qsim.Statevector(pqc._product_states(np.reshape(window, (1, -1)))[0])
+
+
 def full_circuit_predictions(model, windows):
     """Oracle: one circuit per window, its RY encoding gates followed by the
-    gates of model_circuit, run from |0...0>."""
+    gates of model_plan at the model's theta, run from |0...0>."""
     readout = "Z" + "I" * (model.num_qubits - 1)
     out = []
     for w in windows:
@@ -100,7 +111,7 @@ def corpus(k, seed):
 
 class TestFeatureMap:
     """The angle encoding, one RY(x_i) per feature, as the product state
-    that encode builds."""
+    that pqc._product_states builds."""
 
     def test_one_gate_per_feature(self):
         # encode equals the state of the RY gates bit for bit
@@ -135,28 +146,27 @@ class TestFeatureMap:
 
 class TestModelCircuit:
     def test_gate_count_and_order_twelve_qubits(self):
-        c = model_circuit(PqcModel.initialized())
-        assert c.num_qubits == 12
-        assert len(c.gates) == 60
-        names = [g.name for g in c.gates]
+        plan = model_plan(12)
+        assert len(plan) == 60
+        names = [name for name, _, _ in plan]
         assert names[:6] == ["cnot"] * 6
         assert names[6:30] == ["rx", "ry"] * 12
         assert names[30:36] == ["cnot"] * 6
         assert names[36:] == ["rx", "ry"] * 12
 
     def test_entangler_patterns_twelve_qubits(self):
-        c = model_circuit(PqcModel.initialized())
-        first = [g.qubits for g in c.gates[:6]]
-        second = [g.qubits for g in c.gates[30:36]]
+        plan = model_plan(12)
+        first = [qubits for _, qubits, _ in plan[:6]]
+        second = [qubits for _, qubits, _ in plan[30:36]]
         assert first == [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11)]
         assert second == [(1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 0)]
+        assert all(p is None for _, _, p in plan[:6] + plan[30:36])
 
     def test_theta_layout_layer_major_rx_first(self):
-        m = small_model().with_theta(np.arange(16, dtype=float))
-        rotations = [g for g in model_circuit(m).gates if g.name != "cnot"]
-        assert [g.angle for g in rotations] == list(range(16))
-        assert [g.qubits[0] for g in rotations] == [0, 0, 1, 1, 2, 2, 3, 3] * 2
-        assert [g.name for g in rotations] == ["rx", "ry"] * 8
+        rotations = [step for step in model_plan(4) if step[0] != "cnot"]
+        assert [p for _, _, p in rotations] == list(range(16))
+        assert [qubits[0] for _, qubits, _ in rotations] == [0, 0, 1, 1, 2, 2, 3, 3] * 2
+        assert [name for name, _, _ in rotations] == ["rx", "ry"] * 8
 
     def test_zero_everything_gives_zero_state(self):
         m = PqcModel(theta=np.zeros(16), num_qubits=4)
@@ -189,15 +199,15 @@ class TestModelCircuit:
 
     @pytest.mark.parametrize("count", [1, 50])
     def test_built_once_per_batch(self, monkeypatch, count):
-        # a batch builds model_circuit at most once, whatever its size:
+        # a batch builds model_plan at most once, whatever its size:
         # once for a width not yet planned, not at all after that
         built = []
 
-        def counting(model):
-            built.append(model.num_qubits)
-            return model_circuit(model)
+        def counting(num_qubits):
+            built.append(num_qubits)
+            return model_plan(num_qubits)
 
-        monkeypatch.setattr(pqc, "model_circuit", counting)
+        monkeypatch.setattr(pqc, "model_plan", counting)
         pqc.cone_plan.cache_clear()
         try:
             m = small_model(seed=2)
@@ -210,15 +220,15 @@ class TestModelCircuit:
             pqc.cone_plan.cache_clear()
 
     def test_built_once_per_width(self, monkeypatch):
-        # the cone plan reads model_circuit once per width, whatever the
-        # theta or the batch; predictions run the plan and build no gates
+        # the cone plan reads model_plan once per width, whatever the
+        # theta or the batch; predictions run the cone plan alone
         built = []
 
-        def counting(model):
-            built.append(model.num_qubits)
-            return model_circuit(model)
+        def counting(num_qubits):
+            built.append(num_qubits)
+            return model_plan(num_qubits)
 
-        monkeypatch.setattr(pqc, "model_circuit", counting)
+        monkeypatch.setattr(pqc, "model_plan", counting)
         pqc.cone_plan.cache_clear()
         try:
             rng = np.random.default_rng(3)
@@ -258,15 +268,17 @@ class TestFullCircuitOracle:
 
 
 def light_cone_predictions(model, windows):
-    """Oracle: <Z_0> from the light cone of the whole model_circuit, cut
-    for each call by qsim.light_cone."""
-    cone, circuit = qsim.light_cone(model_circuit(model), [0])
+    """Oracle: <Z_0> from the light cone of the whole model_plan, cut for
+    each call by qsim.light_cone and run as gates built at the model's
+    theta."""
+    k = model.num_qubits
+    cone, plan = qsim.light_cone(k, model_plan(k), [0])
     states = pqc._product_states(np.asarray(windows)[:, cone])
-    return pqc._z0(qsim.run_batch(circuit, states))
+    return pqc._z0(qsim.run_batch(bind(len(cone), plan, model.theta), states))
 
 
 def expected_cone(k):
-    """Readout cone of model_circuit: the block-1 ring pulls in qubit k-1,
+    """Readout cone of model_plan: the block-1 ring pulls in qubit k-1,
     and for odd k its (k-2, k-1) pair pulls in k-2 as well; block 0 then
     pairs each of those with its neighbour."""
     if k <= 3:
@@ -282,20 +294,17 @@ class TestLightCone:
 
     @pytest.mark.parametrize("k", range(1, 17))
     def test_cone_of_every_width(self, k):
-        cone, circuit = qsim.light_cone(model_circuit(small_model(k)), [0])
-        assert (cone, len(circuit.gates)) == expected_cone(k)
-        assert circuit.num_qubits == len(cone) <= 5
         plan = pqc.cone_plan(k)
-        assert plan.qubits == cone
-        assert [(name, qubits) for name, qubits, _ in plan.gates] == [
-            (g.name, g.qubits) for g in circuit.gates]
+        assert (plan.qubits, len(plan.gates)) == expected_cone(k)
+        assert len(plan.qubits) <= 5
+        assert all(q < len(plan.qubits) for _, qubits, _ in plan.gates for q in qubits)
         assert len(plan.live) == len(set(plan.live)) == sum(
-            g.name != "cnot" for g in circuit.gates)
+            name != "cnot" for name, _, _ in plan.gates)
 
     @pytest.mark.parametrize("k", range(1, 17))
     def test_predictions_equal_the_cone_of_the_whole_circuit(self, k):
-        # the plan's gates at the model's theta are the gates light_cone
-        # keeps of model_circuit: same matrices, same order, same bits
+        # the cone plan at the model's theta runs the gates light_cone
+        # keeps of model_plan, built as gates: same order, same bits
         rng = np.random.default_rng(50 + k)
         for theta in (rng.uniform(-0.1, 0.1, 4 * k),
                       rng.uniform(-math.pi, math.pi, 4 * k)):
@@ -306,12 +315,12 @@ class TestLightCone:
             assert predict_batch(m, windows).tobytes() == want.tobytes()
 
     def test_paper_width_reads_four_months_through_six_parameters(self):
-        m = PqcModel.initialized()
-        cone, circuit = qsim.light_cone(model_circuit(m), [0])
-        assert cone == (0, 1, 10, 11) and len(circuit.gates) == 9
-        assert pqc.cone_plan(12).live == self.LIVE_PARAMETERS
-        rotations = [g.angle for g in circuit.gates if g.name != "cnot"]
-        assert rotations == [m.theta[p] for p in self.LIVE_PARAMETERS]
+        plan = pqc.cone_plan(12)
+        assert plan.qubits == (0, 1, 10, 11) and len(plan.gates) == 9
+        assert plan.live == self.LIVE_PARAMETERS
+        # in plan order, the cone's rotations read theta 0, 1, 22, 23, 24, 25
+        reads = tuple(p for _, _, p in plan.gates if p is not None)
+        assert reads == self.LIVE_PARAMETERS
 
     def test_inert_entries_leave_predictions_bitwise_equal(self):
         rng = np.random.default_rng(40)
@@ -330,6 +339,33 @@ class TestLightCone:
             theta = m.theta.copy()
             theta[p] += 0.5
             assert predict_batch(m.with_theta(theta), windows).tobytes() != want
+
+
+def six_features(windows):
+    """The six fixed features the 12-qubit model is linear in, of a, b, c,
+    d = window positions 0, 1, 10 and 11 (months t-12, t-11, t-2, t-1)."""
+    a, b, c, d = np.asarray(windows)[:, [0, 1, 10, 11]].T
+    return np.stack([np.cos(a), np.cos(a) * np.sin(d),
+                     np.cos(a) * np.cos(c) * np.cos(d), np.sin(a) * np.sin(b),
+                     np.sin(a) * np.sin(b) * np.sin(d),
+                     np.sin(a) * np.sin(b) * np.cos(c) * np.cos(d)], axis=1)
+
+
+class TestFunctionClass:
+    """At 12 qubits the regressor is a linear model on six fixed
+    trigonometric features of four months, whatever theta: theta sets only
+    the six coefficients (Schuld, Sweke & Meyer, arXiv:2008.08605)."""
+
+    @given(theta=hnp.arrays(float, 48, elements=st.floats(-math.pi, math.pi)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    def test_linear_in_six_features(self, theta, seed):
+        m = PqcModel(theta=theta)
+        windows = np.random.default_rng(seed).uniform(-math.pi, math.pi, size=(40, 12))
+        fit, held_out = windows[:24], windows[24:]
+        coef = np.linalg.lstsq(six_features(fit), predict_batch(m, fit), rcond=None)[0]
+        assert np.max(np.abs(six_features(held_out) @ coef
+                             - predict_batch(m, held_out))) <= 1e-12
 
 
 class TestPredict:
@@ -416,7 +452,7 @@ class TestGradient:
         def no_circuits(*args):
             raise AssertionError("a circuit ran")
 
-        monkeypatch.setattr(qsim, "run_circuit", no_circuits)
+        monkeypatch.setattr(qsim, "run_plan", no_circuits)
         with pytest.raises(ValueError, match="4 windows but 1 labels"):
             gradient(small_model(), np.zeros((4, 4)), [0.0], method=method)
 
@@ -436,18 +472,33 @@ class TestGradient:
     @pytest.mark.parametrize("count", [1, 2])
     def test_gates_applied_twelve_qubits(self, monkeypatch, count):
         # 60 forward gates, and each of the 48 rotations at position g runs
-        # its two shifted branches over the last 60 - g gates
-        applied = []
-        run = qsim.run_circuit
+        # its two shifted branches over the last 60 - g gates, one window
+        # at a time on the whole register; the residual's predictions run
+        # the 9 gates of the 4-qubit cone on all windows at once
+        applied = {12: 0, 4: 0}
+        run = qsim.run_plan
 
-        def counting(circuit, initial=None):
-            applied.append(len(circuit.gates))
-            return run(circuit, initial)
+        def counting(num_qubits, plan, theta, amplitudes):
+            rows = np.size(amplitudes) >> num_qubits
+            applied[num_qubits] += len(plan) * rows
+            return run(num_qubits, plan, theta, amplitudes)
 
-        monkeypatch.setattr(qsim, "run_circuit", counting)
+        monkeypatch.setattr(qsim, "run_plan", counting)
         windows = np.random.default_rng(count).uniform(-0.25, 0.25, size=(count, 12))
         gradient(PqcModel.initialized(), windows, np.zeros(count))
-        assert sum(applied) == 2700 * count
+        assert applied == {12: 2700 * count, 4: 9 * count}
+
+    def test_builds_no_gate_circuit_or_statevector(self, monkeypatch):
+        # after the first call has read the cone plan, a gradient runs
+        # plans on arrays only
+        rng = np.random.default_rng(42)
+        m = PqcModel.initialized()
+        windows = rng.uniform(-0.25, 0.25, size=(2, 12))
+        labels = rng.uniform(-0.25, 0.25, size=2)
+        gradient(m, windows, labels)
+        built = count_constructions(monkeypatch)
+        gradient(m.with_theta(rng.uniform(-math.pi, math.pi, 48)), windows, labels)
+        assert built == {"Gate": 0, "Circuit": 0, "Statevector": 0}
 
 
 class TestTrain:

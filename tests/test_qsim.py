@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from qforecast import qsim
 from qforecast.qsim import (Circuit, Gate, Statevector, ancilla_estimate, apply_pauli,
                             circuit_unitary, expectation, hadamard_test, light_cone,
-                            pair_plan, plan_of, plan_state, run_batch, run_circuit,
-                            run_plan)
+                            pair_plan, plan_state, run_batch, run_circuit, run_plan)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -67,6 +66,15 @@ def random_state(rng, num_qubits):
     return Statevector(v / np.linalg.norm(v))
 
 
+def bind(num_qubits, plan, theta):
+    """The oracle's form of a plan: a Circuit of Gates, each rotation built
+    at its step's theta[index]."""
+    circuit = Circuit(num_qubits)
+    for name, qubits, p in plan:
+        circuit.add(Gate(name, qubits, None if p is None else theta[p]))
+    return circuit
+
+
 def count_constructions(monkeypatch):
     """Count every Gate, Circuit and Statevector built from now on."""
     built = {"Gate": 0, "Circuit": 0, "Statevector": 0}
@@ -77,9 +85,8 @@ def count_constructions(monkeypatch):
             return method(self, *args)
         return counted
 
-    # a Statevector holds its amplitudes through _hold, however it is built
     for cls, name in ((Gate, "__post_init__"), (Circuit, "__init__"),
-                      (Statevector, "_hold")):
+                      (Statevector, "__post_init__")):
         monkeypatch.setattr(cls, name, counting(cls.__name__, getattr(cls, name)))
     return built
 
@@ -282,59 +289,47 @@ class TestRunBatch:
 
 
 @st.composite
-def planned_circuits(draw):
-    """A circuit of 1-6 qubits with every gate kind whose rotations each
-    read one of P parameters, built at theta_p = p and at random theta,
-    with that theta and a batch of random rows."""
+def plans(draw):
+    """A plan on 1-6 qubits with every gate kind whose rotations each read
+    one of P parameters, a random theta of length P, and a batch of random
+    rows."""
     n = draw(st.integers(1, 6))
     angle = st.floats(-4 * math.pi, 4 * math.pi)
     theta = np.array(draw(st.lists(angle, min_size=1, max_size=8)))
-    indexed, bound = Circuit(n), Circuit(n)
+    plan = []
     for _ in range(draw(st.integers(0, 30))):
         name = draw(st.sampled_from(["h", "x", "rx", "ry", "rz"] + ["cnot"] * (n > 1)))
         if name == "cnot":
             pair = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
                                  unique=True))
-            indexed.cnot(*pair)
-            bound.cnot(*pair)
+            plan.append((name, tuple(pair), None))
             continue
         q = draw(st.integers(0, n - 1))
         p = draw(st.integers(0, len(theta) - 1)) if name[0] == "r" else None
-        indexed.add(Gate(name, (q,), None if p is None else p))
-        bound.add(Gate(name, (q,), None if p is None else theta[p]))
+        plan.append((name, (q,), p))
     rows = draw(st.lists(st.lists(angle, min_size=2 << n, max_size=2 << n),
                          min_size=1, max_size=3))
     rows = np.array(rows)
-    return indexed, bound, theta, rows[:, 0::2] + 1j * rows[:, 1::2]
+    return n, tuple(plan), theta, rows[:, 0::2] + 1j * rows[:, 1::2]
 
 
 class TestRunPlan:
-    @given(case=planned_circuits())
+    @given(case=plans())
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     def test_equals_run_batch_of_the_bound_circuit(self, case):
-        indexed, bound, theta, rows = case
-        plan = plan_of(indexed)
-        assert [(name, qubits) for name, qubits, _ in plan] == [
-            (g.name, g.qubits) for g in bound.gates]
+        n, plan, theta, rows = case
         before = rows.tobytes()
-        got = run_plan(indexed.num_qubits, plan, theta, rows)
-        assert got.tobytes() == run_batch(bound, rows).tobytes()
+        got = run_plan(n, plan, theta, rows)
+        assert got.tobytes() == run_batch(bind(n, plan, theta), rows).tobytes()
         assert rows.tobytes() == before
 
     def test_builds_no_gate_circuit_or_statevector(self, monkeypatch):
-        c = Circuit(2)
-        c.ry(0, 1)
-        c.cnot(0, 1)
-        c.rz(1, 0)
-        plan = plan_of(c)
-        assert plan == (("ry", (0,), 1), ("cnot", (0, 1), None), ("rz", (1,), 0))
+        plan = (("ry", (0,), 1), ("cnot", (0, 1), None), ("rz", (1,), 0))
         built = count_constructions(monkeypatch)
         run_plan(2, plan, [0.3, -1.2], np.eye(4))
         assert built == {"Gate": 0, "Circuit": 0, "Statevector": 0}
-        run_circuit(c)  # the counters see what they count
-        assert built == {"Gate": 0, "Circuit": 0, "Statevector": 2}
-        Circuit(1).h(0)
-        assert built == {"Gate": 1, "Circuit": 1, "Statevector": 2}
+        run_circuit(bind(2, plan, [0.3, -1.2]))  # the counters see what they count
+        assert built == {"Gate": 3, "Circuit": 1, "Statevector": 2}
 
     def test_rejects_rows_of_the_wrong_width(self):
         with pytest.raises(ValueError, match="do not fit 3 qubits"):
@@ -342,12 +337,10 @@ class TestRunPlan:
 
 
 class TestPlanState:
-    @given(case=planned_circuits())
+    @given(case=plans())
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     def test_equals_run_plan_on_the_zero_state(self, case):
-        indexed, _, theta, _ = case
-        n = indexed.num_qubits
-        plan = plan_of(indexed)
+        n, plan, theta, _ = case
         zero = np.zeros(1 << n, dtype=complex)
         zero[0] = 1.0
         got = plan_state(n, pair_plan(n, plan), theta)
@@ -365,24 +358,15 @@ class TestPlanState:
 
 
 @st.composite
-def circuits_on_product_states(draw):
-    """A circuit of 1-6 qubits with every gate kind, and one unit 2-vector
-    per qubit whose Kronecker product is the input state."""
-    n = draw(st.integers(1, 6))
+def plans_on_product_states(draw):
+    """A case of `plans`, one unit 2-vector per qubit whose Kronecker
+    product is the input state, and a readout qubit."""
+    n, plan, theta, _ = draw(plans())
     angle = st.floats(-2 * math.pi, 2 * math.pi)
-    circuit = Circuit(n)
-    for _ in range(draw(st.integers(0, 30))):
-        name = draw(st.sampled_from(["h", "x", "rx", "ry", "rz"] + ["cnot"] * (n > 1)))
-        if name == "cnot":
-            circuit.cnot(*draw(st.lists(st.integers(0, n - 1), min_size=2,
-                                        max_size=2, unique=True)))
-        else:
-            q = draw(st.integers(0, n - 1))
-            circuit.add(Gate(name, (q,), draw(angle) if name[0] == "r" else None))
     factors = [np.array([math.cos(a), cmath.exp(1j * b) * math.sin(a)])
                for a, b in draw(st.lists(st.tuples(angle, angle),
                                          min_size=n, max_size=n))]
-    return circuit, factors, draw(st.integers(0, n - 1))
+    return n, plan, theta, factors, draw(st.integers(0, n - 1))
 
 
 def z_label(num_qubits, qubit):
@@ -391,29 +375,26 @@ def z_label(num_qubits, qubit):
 
 class TestLightCone:
     def test_keeps_the_gates_that_reach_the_readout(self):
-        c = Circuit(5)
-        c.cnot(1, 2)
-        c.ry(4, 0.3)
-        c.h(3)
-        c.cnot(2, 4)
-        c.h(0)
-        cone, sub = light_cone(c, [4])
+        plan = (("cnot", (1, 2), None), ("ry", (4,), 0), ("h", (3,), None),
+                ("cnot", (2, 4), None), ("h", (0,), None))
+        cone, sub = light_cone(5, plan, [4])
         assert cone == (1, 2, 4)
-        assert [(g.name, g.qubits, g.angle) for g in sub.gates] == [
-            ("cnot", (0, 1), None), ("ry", (2,), 0.3), ("cnot", (1, 2), None)]
+        assert sub == (("cnot", (0, 1), None), ("ry", (2,), 0),
+                       ("cnot", (1, 2), None))
 
     def test_rejects_a_qubit_outside_the_register(self):
         with pytest.raises(ValueError, match="qubit 3 out of range"):
-            light_cone(Circuit(3), [3])
+            light_cone(3, (), [3])
 
-    @given(case=circuits_on_product_states())
+    @given(case=plans_on_product_states())
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     def test_cone_expectation_equals_the_whole_circuit(self, case):
-        circuit, factors, q = case
-        whole = run_circuit(circuit, Statevector(kron_all(*factors)[0]))
-        want = expectation(whole, z_label(circuit.num_qubits, q))
-        cone, sub = light_cone(circuit, [q])
-        part = run_circuit(sub, Statevector(kron_all(*[factors[i] for i in cone])[0]))
+        n, plan, theta, factors, q = case
+        whole = run_circuit(bind(n, plan, theta), Statevector(kron_all(*factors)[0]))
+        want = expectation(whole, z_label(n, q))
+        cone, sub = light_cone(n, plan, [q])
+        part = run_circuit(bind(len(cone), sub, theta),
+                           Statevector(kron_all(*[factors[i] for i in cone])[0]))
         assert abs(expectation(part, z_label(len(cone), cone.index(q))) - want) <= 1e-12
 
 

@@ -12,11 +12,11 @@ from hypothesis.extra import numpy as hnp
 from qforecast import qsim, vqls
 from qforecast.linsys import build_windows, fit_scaler, normal_equations, predict_next
 from qforecast.qsim import circuit_unitary
-from qforecast.vqls import (AnsatzSpec, VqlsProblem, ansatz_circuit, ansatz_state,
+from qforecast.vqls import (AnsatzSpec, VqlsProblem, ansatz_plan, ansatz_state,
                             canonical_phase, cost, realign_to_real,
                             rescale, solve)
 from test_pauli import pauli_matrix
-from test_qsim import count_constructions, prepare_state
+from test_qsim import bind, count_constructions, prepare_state
 
 
 def ry(t):
@@ -32,6 +32,11 @@ CNOT_01 = np.array([[1, 0, 0, 0],
                     [0, 1, 0, 0],
                     [0, 0, 0, 1],
                     [0, 0, 1, 0]], dtype=complex)
+
+
+def ansatz_circuit(spec, theta):
+    """The oracle's form of the ansatz: ansatz_plan's gates built at theta."""
+    return bind(spec.num_qubits, ansatz_plan(spec), theta)
 
 
 def easy_spd(rng, dim=4):
@@ -105,7 +110,7 @@ class TestAnsatzSpec:
         with pytest.raises(ValueError):
             AnsatzSpec(0, 1)
         with pytest.raises(ValueError):
-            ansatz_circuit(AnsatzSpec(2, 1), np.zeros(7))
+            ansatz_state(AnsatzSpec(2, 1), np.zeros(7))
 
 
 class TestAnsatzCircuit:
@@ -122,8 +127,8 @@ class TestAnsatzCircuit:
         assert np.allclose(got, second @ CNOT_01 @ first, atol=1e-12)
 
     def test_gate_counts(self):
-        assert len(ansatz_circuit(AnsatzSpec(2, 1), np.zeros(8)).gates) == 9
-        assert len(ansatz_circuit(AnsatzSpec(4, 2), np.zeros(24)).gates) == 30
+        assert len(ansatz_plan(AnsatzSpec(2, 1))) == 9
+        assert len(ansatz_plan(AnsatzSpec(4, 2))) == 30
 
     def test_state_is_normalized(self):
         rng = np.random.default_rng(1)
@@ -134,8 +139,8 @@ class TestAnsatzCircuit:
 
 
 def oracle_ansatz_state(spec, theta):
-    """The ansatz as objects: its Circuit of Gates run by qsim.run_circuit
-    from the Statevector |0...0>."""
+    """The ansatz as objects: its plan bound into a Circuit of Gates, run
+    by qsim.run_circuit from the Statevector |0...0>."""
     return np.array(qsim.run_circuit(ansatz_circuit(spec, theta)).amplitudes)
 
 
@@ -154,12 +159,12 @@ class TestAnsatzPlan:
     def test_plan_is_read_once_per_spec(self, monkeypatch):
         built = []
 
-        def counting(spec, theta):
+        def counting(spec):
             built.append(spec)
-            return ansatz_circuit(spec, theta)
+            return ansatz_plan(spec)
 
-        monkeypatch.setattr(vqls, "ansatz_circuit", counting)
-        vqls.ansatz_plan.cache_clear()
+        monkeypatch.setattr(vqls, "ansatz_plan", counting)
+        vqls._paired_plan.cache_clear()
         try:
             rng = np.random.default_rng(2)
             for spec in (AnsatzSpec(2, 1), AnsatzSpec(3, 2)) * 2:
@@ -167,14 +172,14 @@ class TestAnsatzPlan:
                     ansatz_state(spec, rng.uniform(0, 2 * math.pi, spec.num_parameters))
             assert built == [AnsatzSpec(2, 1), AnsatzSpec(3, 2)]
         finally:
-            vqls.ansatz_plan.cache_clear()
+            vqls._paired_plan.cache_clear()
 
     def test_wrong_length_theta_raises_the_same_error(self):
         spec = AnsatzSpec(2, 1)
         p = VqlsProblem.from_system(np.diag([1.0, 2.0, 3.0, 4.0]), np.ones(4))
         message = re.escape("theta has shape (7,), expected (8,)")
-        for call in (lambda t: ansatz_circuit(spec, t), lambda t: ansatz_state(spec, t),
-                     lambda t: cost(p, t), lambda t: cost(p, t, estimator="hadamard")):
+        for call in (lambda t: ansatz_state(spec, t), lambda t: cost(p, t),
+                     lambda t: cost(p, t, estimator="hadamard")):
             with pytest.raises(ValueError, match=message):
                 call(np.zeros(7))
 
