@@ -88,7 +88,10 @@ class MlpModel:
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "b3", float(self.b3))
+        b3 = float(self.b3)
+        if not np.isfinite(b3):
+            raise ValueError("b3 contains non-finite values")
+        object.__setattr__(self, "b3", b3)
 
     @property
     def num_inputs(self) -> int:

@@ -26,7 +26,7 @@ from .linsys import (
     write_trace_csv,
 )
 from .modelfile import fields, load_any_model, save_model
-from .pipeline import (DEFAULT_SPLIT, ModelSpec, fit, roll_predictions,
+from .pipeline import (DEFAULT_SPLIT, KINDS, ModelSpec, fit, roll_predictions,
                        run_pipeline)
 
 EXIT_OK = 0
@@ -258,6 +258,15 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="qforecast",
                      description="Quantum-assisted monthly forecasting")
     sub = parser.add_subparsers(dest="command", required=True)
+    series_args = argparse.ArgumentParser(add_help=False)
+    series_args.add_argument("input")
+    series_args.add_argument("--split", type=_iso_date, default=DEFAULT_SPLIT)
+    series_args.add_argument("--value-column", default=None)
+    train_args = argparse.ArgumentParser(add_help=False, parents=[series_args])
+    train_args.add_argument("--model-out", required=True)
+    train_args.add_argument("--trace-out", default=None)
+    train_args.add_argument("--window", type=int, default=0)
+    train_args.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("generate", help="write a synthetic monthly series")
     p.add_argument("--out", required=True)
@@ -274,40 +283,23 @@ def build_parser() -> _Parser:
                    default=GeneratorConfig.noise_std)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("preprocess",
+    p = sub.add_parser("preprocess", parents=[series_args],
                        help="difference a series and scale it by its "
                             "largest training difference")
-    p.add_argument("input")
     p.add_argument("--out", required=True)
-    p.add_argument("--split", type=_iso_date, default=DEFAULT_SPLIT)
-    p.add_argument("--value-column", default=None)
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("train-pqc",
+    p = sub.add_parser("train-pqc", parents=[train_args],
                        help="fit the parameterized-circuit regressor")
-    p.add_argument("input")
-    p.add_argument("--model-out", required=True)
-    p.add_argument("--trace-out", default=None)
-    p.add_argument("--window", type=int, default=0)
-    p.add_argument("--split", type=_iso_date, default=DEFAULT_SPLIT)
     p.add_argument("--optimizer", choices=optimize.METHODS,
                    default=ModelSpec.optimizer)
     p.add_argument("--max-iters", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--value-column", default=None)
     p.set_defaults(func=cmd_train_pqc)
 
-    p = sub.add_parser("train-baseline",
+    p = sub.add_parser("train-baseline", parents=[train_args],
                        help="fit the linear or neural reference model")
-    p.add_argument("input")
     p.add_argument("--kind", choices=("linear", "mlp"), required=True)
-    p.add_argument("--model-out", required=True)
-    p.add_argument("--trace-out", default=None)
-    p.add_argument("--window", type=int, default=0)
-    p.add_argument("--split", type=_iso_date, default=DEFAULT_SPLIT)
     p.add_argument("--epochs", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--value-column", default=None)
     p.set_defaults(func=cmd_train_baseline)
 
     solve_params = inspect.signature(vqls.solve).parameters
@@ -336,9 +328,8 @@ def build_parser() -> _Parser:
                    default=pauli.DEFAULT_PRUNE_TOL)
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("forecast",
+    p = sub.add_parser("forecast", parents=[series_args],
                        help="run the full pipeline, or apply a saved model")
-    p.add_argument("input")
     p.add_argument("--model", default=None,
                    help="apply this saved model instead of training")
     p.add_argument("--out", default=None,
@@ -347,14 +338,12 @@ def build_parser() -> _Parser:
                    help="months to forecast past the end of the data")
     p.add_argument("--out-dir", default=None,
                    help="artifact directory (pipeline mode)")
-    p.add_argument("--models", default="linear,mlp,pqc,vqls")
-    p.add_argument("--split", type=_iso_date, default=DEFAULT_SPLIT)
+    p.add_argument("--models", default=",".join(KINDS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pqc-iters", type=int, default=0)
     p.add_argument("--vqls-iters", type=int, default=0)
     p.add_argument("--vqls-restarts", type=int, default=ModelSpec.restarts)
     p.add_argument("--mlp-epochs", type=int, default=0)
-    p.add_argument("--value-column", default=None)
     p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("evaluate",

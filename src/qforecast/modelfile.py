@@ -100,8 +100,6 @@ def load_any_model(path):
                 if line.split()[0] in names:  # the next array starts early
                     break
                 raise bad(f"non-numeric value {line!r} in array {name}") from None
-            if not math.isfinite(value):
-                raise bad(f"non-finite value {line!r} in array {name}")
             values.append(value)
         if len(values) != count:
             raise bad(f"array {name} {shape} expects {count} values, "

@@ -113,9 +113,9 @@ def decompose(matrix: np.ndarray, prune_tol: float = DEFAULT_PRUNE_TOL,
               ) -> PauliDecomposition:
     """Expand a Hermitian matrix in the Pauli basis.
 
-    Rejects non-Hermitian input (tolerance 1e-8) and drops coefficients with
-    |alpha| < prune_tol. Any power-of-two dimension works; the work arrays
-    are the size of the matrix.
+    Rejects non-finite or non-Hermitian input (tolerance 1e-8) and drops
+    coefficients with |alpha| < prune_tol. Any power-of-two dimension works;
+    the work arrays are the size of the matrix.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -123,6 +123,8 @@ def decompose(matrix: np.ndarray, prune_tol: float = DEFAULT_PRUNE_TOL,
     dim = m.shape[0]
     if dim < 2 or dim & (dim - 1):
         raise ValueError(f"dimension {dim} is not a power of two")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix holds a non-finite value")
     if np.max(np.abs(m - m.conj().T)) > HERMITIAN_ATOL:
         raise ValueError("matrix is not Hermitian within 1e-8")
     m = (m + m.conj().T) / 2.0

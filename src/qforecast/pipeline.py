@@ -11,6 +11,7 @@ original units against the actual previous value.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import os
 from dataclasses import dataclass, field
 from datetime import date
@@ -35,6 +36,7 @@ DEFAULT_WINDOW = 12
 VQLS_WINDOW = 4
 
 KINDS = ("linear", "mlp", "pqc", "vqls")
+_SOLVE = inspect.signature(vqls.solve).parameters
 
 
 def subseed(seed: int, *names: str) -> int:
@@ -51,28 +53,24 @@ class ModelSpec:
     window 0 and max_iters 0 mean the kind's default; negative values, and
     restarts below 1, are rejected. The window is 12, except 4 for the
     variational solver, whose window is its matrix dimension and must be a
-    power of two from 2 to 64. max_iters is the optimizer's iteration cap
-    for the circuit model (default 300; one iteration may take several loss
-    evaluations), the objective-evaluation cap per restart for the
-    variational solver (default 2000), and the epoch count for the MLP
-    (default 2000). optimizer is one of optimize.METHODS. restarts is the
+    power of two from 2 to 64. max_iters is the circuit model's optimizer
+    iteration cap, the variational solver's cost-evaluation cap per restart,
+    or the MLP's epoch count. Its default, and those of optimizer (one of
+    optimize.METHODS) and restarts, are the trainer's own. restarts is the
     variational solver's number of random starts. The circuit model's window
     is its qubit count, at most pqc.MAX_QUBITS.
     """
 
     kind: str
-    name: str = ""
     window: int = 0
-    optimizer: str = "cobyla"
+    optimizer: str = pqc.TrainConfig.optimizer
     max_iters: int = 0
-    restarts: int = 5
+    restarts: int = _SOLVE["restarts"].default
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError("unknown model kind %r (choose from %s)"
                              % (self.kind, ", ".join(KINDS)))
-        if not self.name:
-            object.__setattr__(self, "name", self.kind)
         if self.window == 0:
             object.__setattr__(
                 self, "window",
@@ -95,7 +93,9 @@ class ModelSpec:
             raise ValueError("restarts must be at least 1, got %d"
                              % self.restarts)
         if self.max_iters == 0:
-            defaults = {"pqc": 300, "vqls": 2000, "mlp": 2000, "linear": 0}
+            defaults = {"pqc": pqc.TrainConfig.max_iters,
+                        "vqls": _SOLVE["max_iters"].default,
+                        "mlp": baselines.DEFAULT_EPOCHS, "linear": 0}
             object.__setattr__(self, "max_iters", defaults[self.kind])
 
 
@@ -162,21 +162,22 @@ def fit(spec: ModelSpec, X: np.ndarray, y: np.ndarray, seed: int):
 
     Returns (model, trace, extras); every model has predict(X). The
     pipeline and the train commands both fit here, so a seed gives the same
-    model from either: initial weights come from subseed(seed, spec.name,
-    "init"), the solver's restarts from subseed(seed, spec.name, "solver").
+    model from either. Sub-seeds are named by kind: initial weights come
+    from subseed(seed, spec.kind, "init"), the solver's restarts from
+    subseed(seed, spec.kind, "solver").
     """
     if spec.kind == "linear":
         return baselines.fit_linear(X, y), (), {}
 
     if spec.kind == "mlp":
         init = baselines.MlpModel.initialized(
-            num_inputs=spec.window, seed=subseed(seed, spec.name, "init"))
+            num_inputs=spec.window, seed=subseed(seed, spec.kind, "init"))
         model, trace = baselines.mlp_train(init, X, y, epochs=spec.max_iters)
         return model, tuple(trace), {"evaluations": len(trace), "model": model}
 
     if spec.kind == "pqc":
         init = pqc.PqcModel.initialized(
-            num_qubits=spec.window, seed=subseed(seed, spec.name, "init"))
+            num_qubits=spec.window, seed=subseed(seed, spec.kind, "init"))
         config = pqc.TrainConfig(optimizer=spec.optimizer,
                                  max_iters=spec.max_iters)
         model, result = pqc.train(init, X, y, config)
@@ -192,7 +193,7 @@ def fit(spec: ModelSpec, X: np.ndarray, y: np.ndarray, seed: int):
     system = normal_equations(WindowSystem(X=X, y=y, window=spec.window))
     problem = vqls.VqlsProblem.from_system(system.A, system.b)
     result = vqls.solve(problem, optimizer=spec.optimizer,
-                        seed=subseed(seed, spec.name, "solver"),
+                        seed=subseed(seed, spec.kind, "solver"),
                         restarts=spec.restarts, max_iters=spec.max_iters)
     # the solution is realigned toward the real axis; for these real
     # symmetric systems the leftover imaginary part is numerical noise
@@ -214,8 +215,8 @@ def run_pipeline(series: TimeSeries, specs=None,
     specs = tuple(specs) if specs is not None else default_specs()
     if not specs:
         raise ValueError("no models to fit: the spec list is empty")
-    if len({s.name for s in specs}) != len(specs):
-        raise ValueError("model names must be unique")
+    if len({s.kind for s in specs}) != len(specs):
+        raise ValueError("model kinds must be unique")
 
     prep = preprocess(series, split_date)
     reports = []
@@ -231,7 +232,7 @@ def run_pipeline(series: TimeSeries, specs=None,
         test_mse = baselines.mse(preds[~train_rows], windows.y[~train_rows])
         dates, actual, predicted = prep.to_units(preds, spec.window)
         reports.append(ModelReport(
-            name=spec.name, kind=spec.kind, window=spec.window,
+            name=spec.kind, kind=spec.kind, window=spec.window,
             train_mse=train_mse, test_mse=test_mse,
             num_train=int(train_rows.sum()),
             num_test=int((~train_rows).sum()),

@@ -155,7 +155,7 @@ def predict_batch(model: PqcModel, windows) -> np.ndarray:
     gates left out cannot change <Z_0> (`qsim.light_cone`), so the values
     equal the whole circuit's up to rounding.
     """
-    windows = _checked_windows(model, windows)
+    windows, _ = _checked_windows(model, windows)
     plan = cone_plan(model.num_qubits)
     return plan.predict(model.theta, plan.states(windows))
 
@@ -168,7 +168,8 @@ def _z0(amplitudes: np.ndarray) -> np.ndarray:
     return p[..., :half].sum(axis=-1) - p[..., half:].sum(axis=-1)
 
 
-def _checked_windows(model: PqcModel, windows) -> np.ndarray:
+def _checked_windows(model: PqcModel, windows, labels=None):
+    """2-D float windows, and labels as a float vector if given."""
     windows = np.atleast_2d(np.asarray(windows, dtype=float))
     if windows.ndim != 2:
         raise ValueError(f"windows must be one window or a 2-D array of "
@@ -178,16 +179,17 @@ def _checked_windows(model: PqcModel, windows) -> np.ndarray:
                          f"{model.num_qubits} qubits")
     if not np.all(np.isfinite(windows)):
         raise ValueError("windows hold a non-finite value")
-    return windows
+    if labels is not None:
+        labels = np.asarray(labels, dtype=float).ravel()
+        if len(windows) != labels.size:
+            raise ValueError(f"{len(windows)} windows but {labels.size} labels")
+    return windows, labels
 
 
 def loss(model: PqcModel, windows, labels) -> float:
     """Mean squared error of the circuit predictions."""
-    labels = np.asarray(labels, dtype=float).ravel()
-    preds = predict_batch(model, windows)
-    if preds.size != labels.size:
-        raise ValueError(f"{preds.size} windows but {labels.size} labels")
-    return float(np.mean((preds - labels) ** 2))
+    windows, labels = _checked_windows(model, windows, labels)
+    return float(np.mean((predict_batch(model, windows) - labels) ** 2))
 
 
 def gradient(model: PqcModel, windows, labels,
@@ -211,10 +213,7 @@ def gradient(model: PqcModel, windows, labels,
     G + 2 * sum(G - g_p) gates per window, where 2P + 1 whole circuits
     would apply (2P + 1) * G: 2,700 instead of 5,820 at 12 qubits.
     """
-    windows = _checked_windows(model, windows)
-    labels = np.asarray(labels, dtype=float).ravel()
-    if len(windows) != labels.size:
-        raise ValueError(f"{len(windows)} windows but {labels.size} labels")
+    windows, labels = _checked_windows(model, windows, labels)
     if method == "finite-difference":
         return optimize.finite_diff_gradient(
             lambda theta: loss(model.with_theta(theta), windows, labels),
@@ -264,10 +263,7 @@ def train(model: PqcModel, windows, labels, config: TrainConfig | None = None,
     at its theta and equals `loss` there bit for bit.
     """
     config = config or TrainConfig()
-    windows = _checked_windows(model, windows)
-    labels = np.asarray(labels, dtype=float).ravel()
-    if len(windows) != labels.size:
-        raise ValueError(f"{len(windows)} windows but {labels.size} labels")
+    windows, labels = _checked_windows(model, windows, labels)
     plan = cone_plan(model.num_qubits)
     live = list(plan.live)
     states = plan.states(windows)

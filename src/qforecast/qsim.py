@@ -17,6 +17,8 @@ Conventions:
     * `Gate`, `Circuit`, `Statevector`, `run_batch`, `run_circuit`,
       `circuit_unitary` and `expectation` run circuits gate by gate: the
       oracle that the tests and the benchmark check plans against.
+    * `hadamard_test` applies the law of a Hadamard test's ancilla through
+      `ancilla_estimate`; it simulates no ancilla.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ ATOL = 1e-10
 NORM_ATOL = 1e-8
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_SDG = np.array([[1, 0], [0, -1j]], dtype=complex)
 
 
 # A single-qubit gate's entries m00, m01, m10, m11, row-major, as Python
@@ -362,30 +363,20 @@ def ancilla_estimate(p0, shots: int | None = None, rng=None):
 
 def hadamard_test(matrix: np.ndarray, part: str = "real",
                   shots: int | None = None, rng=None) -> float:
-    """Estimate Re or Im of <0...0| U |0...0> with one ancilla.
+    """Estimate Re or Im of <0...0| U |0...0> by the Hadamard-test law.
 
-    Ancilla (qubit 0) protocol: H, controlled-U, optional S-adjoint for the
-    imaginary part, H, then measure. P(ancilla=0) = (1 + Re<0|U|0>)/2, and
-    the returned estimator is 2 P(0) - 1. Exact mode (shots=None) uses the
-    true probability; sampled mode draws `shots` Bernoulli trials.
+    The ancilla protocol (H, controlled-U, S-adjoint for the imaginary part,
+    H) reads 0 with probability P(0) = (1 + v)/2, v = Re<0|U|0> or Im<0|U|0>.
+    The estimate is `ancilla_estimate` of that P(0), as in `vqls.cost`: v
+    itself in exact mode (shots=None), `shots` Bernoulli trials otherwise.
     """
     u = np.asarray(matrix, dtype=complex)
     if not is_unitary(u):
         raise ValueError("matrix is not unitary within 1e-10")
+    dim = u.shape[0]
+    if dim & (dim - 1):
+        raise ValueError(f"dimension {dim} is not a power of two")
     if part not in ("real", "imaginary"):
         raise ValueError(f"part must be 'real' or 'imaginary', got {part!r}")
-    dim = u.shape[0]
-    # Ancilla is the new MSB, so the register splits into contiguous halves.
-    buf = np.zeros(2 * dim, dtype=complex)
-    buf[0] = 1.0
-    num_qubits = (2 * dim).bit_length() - 1
-    backend.apply_single_qubit(buf, num_qubits, 0,
-                               _H[0, 0], _H[0, 1], _H[1, 0], _H[1, 1])
-    buf[dim:] = u @ buf[dim:]
-    if part == "imaginary":
-        backend.apply_single_qubit(buf, num_qubits, 0,
-                                   _SDG[0, 0], _SDG[0, 1], _SDG[1, 0], _SDG[1, 1])
-    backend.apply_single_qubit(buf, num_qubits, 0,
-                               _H[0, 0], _H[0, 1], _H[1, 0], _H[1, 1])
-    p0 = float(np.sum(np.abs(buf[:dim]) ** 2))
-    return float(ancilla_estimate(p0, shots, rng))
+    v = u[0, 0].real if part == "real" else u[0, 0].imag
+    return float(ancilla_estimate((1.0 + v) / 2.0, shots, rng))

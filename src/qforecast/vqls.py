@@ -41,13 +41,10 @@ DEFAULT_COST_TOL = 1e-3
 DEFAULT_EPSILON = 1e-3  # trace distance an exact solve certifies before stopping
 
 
-def default_layers(num_qubits: int) -> int:
-    return 1 if num_qubits <= 2 else 2
-
-
 @dataclass(frozen=True)
 class AnsatzSpec:
-    """Layered ansatz: a rotation layer, then `layers` entangle+rotate blocks.
+    """Layered ansatz: a rotation layer, then `layers` entangle+rotate
+    blocks, one on up to two qubits and two above.
 
     Each rotation layer applies RY then RZ to every qubit; each entangling
     block is the CNOT chain (0,1), (1,2), ..., (k-2, k-1). Parameters are
@@ -55,17 +52,18 @@ class AnsatzSpec:
     """
 
     num_qubits: int
-    layers: int
 
     def __post_init__(self):
         if self.num_qubits < 1:
             raise ValueError("need at least one qubit")
-        if self.layers < 1:
-            raise ValueError("need at least one layer")
 
     @classmethod
     def default(cls, num_qubits: int) -> "AnsatzSpec":
-        return cls(num_qubits, default_layers(num_qubits))
+        return cls(num_qubits)
+
+    @property
+    def layers(self) -> int:
+        return 1 if self.num_qubits <= 2 else 2
 
     @property
     def num_parameters(self) -> int:
@@ -131,6 +129,8 @@ class VqlsProblem:
             raise ValueError(f"matrix shape {a.shape} is not square")
         if b.size != a.shape[0]:
             raise ValueError(f"b has length {b.size}, matrix is {a.shape[0]}")
+        if not np.isfinite(b).all():
+            raise ValueError("right-hand side holds a non-finite value")
         b_norm = float(np.linalg.norm(b))
         if b_norm == 0.0:
             raise ValueError("right-hand side is zero")

@@ -116,6 +116,12 @@ class TestMlpModel:
             MlpModel(w1=w1, b1=np.zeros(2), w2=np.zeros((2, 2)),
                      b2=np.zeros(2), w3=np.zeros(2), b3=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_output_bias_rejected(self, bad):
+        with pytest.raises(ValueError, match="b3 contains non-finite values"):
+            MlpModel(w1=np.zeros((2, 2)), b1=np.zeros(2), w2=np.zeros((2, 2)),
+                     b2=np.zeros(2), w3=np.zeros(2), b3=bad)
+
     def test_fields_read_only(self):
         model = MlpModel.initialized(num_inputs=3, hidden=4, seed=0)
         with pytest.raises(ValueError):
@@ -349,6 +355,22 @@ class TestPersistence:
             fh.write(content.replace("0.0", "zero", 1))
         with pytest.raises(ValueError, match="non-numeric"):
             load_any_model(path)
+
+    @pytest.mark.parametrize("name", ["w1", "b1", "w2", "b2", "w3", "b3"])
+    def test_non_finite_value_names_the_array_and_path(self, tmp_path, name):
+        # the model constructor refuses it; the loader adds the path
+        model = MlpModel.initialized(num_inputs=2, hidden=2, seed=0)
+        path = str(tmp_path / "net.txt")
+        save_model(model, path)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        header = next(i for i, line in enumerate(lines) if line.split()[0] == name)
+        lines[header + 1] = "nan"
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"{name} contains non-finite") as err:
+            load_any_model(path)
+        assert str(err.value).startswith(path + ": ")
 
     def test_no_leftover_tmp_file(self, tmp_path):
         model = MlpModel.initialized(num_inputs=2, hidden=2, seed=0)

@@ -19,7 +19,7 @@ from qforecast.cli import (
 )
 from qforecast.datagen import trending_series
 from qforecast.linsys import preprocess, read_series_csv, write_series_csv
-from qforecast.pipeline import ModelSpec, fit
+from qforecast.pipeline import KINDS, ModelSpec, fit
 
 SPLIT = "2021-09-01"
 
@@ -308,6 +308,22 @@ class TestSolveVqls:
         assert code == EXIT_INPUT_ERROR
         assert "max_evals must be at least 1, got 0" in capsys.readouterr().err
 
+    def test_non_finite_system_fails_before_any_solve(self, tmp_path, capsys):
+        a_path, b_path = spd_system(tmp_path)
+        bad_path = str(tmp_path / "bad.csv")
+        with open(bad_path, "w") as fh:
+            fh.write("1,nan\nnan,1\n")
+        with open(str(tmp_path / "bad_b.csv"), "w") as fh:
+            fh.write("1\nnan\n")
+        for matrix, rhs, message in (
+                (a_path, str(tmp_path / "bad_b.csv"), "right-hand side"),
+                (bad_path, b_path, "matrix")):
+            code = main(["solve-vqls", "--matrix", matrix, "--rhs", rhs])
+            assert code == EXIT_INPUT_ERROR
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert message + " holds a non-finite value" in err
+
     def test_non_square_matrix(self, tmp_path, capsys):
         a_path = str(tmp_path / "A.csv")
         with open(a_path, "w") as fh:
@@ -331,6 +347,15 @@ class TestDecompose:
         with open(a_path, "w") as fh:
             fh.write("1,2\n3,4\n")
         assert main(["decompose", "--matrix", a_path]) == EXIT_INPUT_ERROR
+
+    def test_non_finite_entry_rejected(self, tmp_path, capsys):
+        a_path = str(tmp_path / "A.csv")
+        with open(a_path, "w") as fh:
+            fh.write("1,nan\nnan,1\n")
+        assert main(["decompose", "--matrix", a_path]) == EXIT_INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "matrix holds a non-finite value" in err
 
 
 class TestForecastPipeline:
@@ -491,9 +516,24 @@ class TestParserDefaults:
         for name in ("optimizer", "seed", "restarts", "max_iters", "estimator"):
             assert getattr(args, name) == solve[name].default, name
         args = parser.parse_args(["forecast", "series.csv"])
-        assert args.vqls_restarts == ModelSpec.restarts
+        assert args.vqls_restarts == solve["restarts"].default
+        assert args.models == ",".join(KINDS)
         args = parser.parse_args(["train-pqc", "series.csv", "--model-out", "m"])
-        assert args.optimizer == ModelSpec.optimizer
+        assert args.optimizer == pqc.TrainConfig.optimizer
+
+    def test_model_spec_defaults_are_their_owners(self):
+        # ModelSpec states no trainer default of its own
+        solve = inspect.signature(vqls.solve).parameters
+        owners = {"pqc": pqc.TrainConfig.max_iters,
+                  "vqls": solve["max_iters"].default,
+                  "mlp": baselines.DEFAULT_EPOCHS}
+        for kind, max_iters in owners.items():
+            spec = ModelSpec(kind=kind)
+            assert spec.max_iters == max_iters, kind
+            assert spec.restarts == solve["restarts"].default
+            assert spec.optimizer == pqc.TrainConfig.optimizer
+        # one optimizer default serves both kinds, so their trainers agree
+        assert pqc.TrainConfig.optimizer == solve["optimizer"].default
 
     def test_defaults_follow_their_owners(self, monkeypatch):
         # a changed owner default reaches the parser without an edit there

@@ -167,6 +167,13 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(np.eye(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # a NaN difference passes any tolerance, so it is refused first
+        for m in ([[1.0, bad], [bad, 1.0]], np.diag([1.0, 2.0, bad, 4.0])):
+            with pytest.raises(ValueError, match="matrix holds a non-finite value"):
+                decompose(np.array(m))
+
     def test_prune_tol_drops_noise_terms(self):
         m = 2.0 * pauli_matrix("XX") + 1e-14 * pauli_matrix("ZZ")
         d = decompose(np.real(m + m.conj().T) / 2, prune_tol=1e-12)

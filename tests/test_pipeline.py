@@ -55,9 +55,11 @@ class TestModelSpec:
         assert ModelSpec(kind="vqls").max_iters == 2000
         assert ModelSpec(kind="mlp").max_iters == 2000
 
-    def test_name_defaults_to_kind(self):
-        assert ModelSpec(kind="mlp").name == "mlp"
-        assert ModelSpec(kind="mlp", name="net").name == "net"
+    def test_has_no_name_field(self):
+        # the kind names a model's report, its files and its sub-seeds
+        assert not hasattr(ModelSpec(kind="mlp"), "name")
+        with pytest.raises(TypeError):
+            ModelSpec(kind="mlp", name="net")
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown model kind 'svm' "
@@ -183,11 +185,11 @@ class TestRunPipelineErrors:
         with pytest.raises(ValueError, match="spec list is empty"):
             run_pipeline(small_series(), specs=[])
 
-    def test_duplicate_names_rejected(self):
+    def test_duplicate_kinds_rejected(self):
         series = small_series()
-        with pytest.raises(ValueError, match="unique"):
+        with pytest.raises(ValueError, match="model kinds must be unique"):
             run_pipeline(series, specs=[ModelSpec(kind="linear"),
-                                        ModelSpec(kind="mlp", name="linear")])
+                                        ModelSpec(kind="linear", window=6)])
 
 
 class TestRunPipelineModels:
@@ -286,6 +288,17 @@ class TestFit:
             assert isinstance(model, baselines.LinearModel)
             np.testing.assert_array_equal(report.extras["weights"],
                                           model.weights)
+
+    def test_sub_seeds_are_named_by_kind(self):
+        series = small_series()
+        windows, rows = preprocess(series, SPLIT).windows(12)
+        X, y = windows.X[rows], windows.y[rows]
+        model, _, _ = fit(ModelSpec(kind="mlp", max_iters=3), X, y, 5)
+        init = baselines.MlpModel.initialized(
+            num_inputs=12, seed=subseed(5, "mlp", "init"))
+        want, _ = baselines.mlp_train(init, X, y, epochs=3)
+        np.testing.assert_array_equal(model.w1, want.w1)
+        np.testing.assert_array_equal(model.predict(X), want.predict(X))
 
 
 class TestRunReportText:

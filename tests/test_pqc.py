@@ -421,6 +421,14 @@ class TestLoss:
         with pytest.raises(ValueError):
             loss(small_model(), np.zeros((2, 4)), [1.0])
 
+    def test_length_mismatch_before_any_prediction(self, monkeypatch):
+        def no_predictions(*args):
+            raise AssertionError("predict_batch ran")
+
+        monkeypatch.setattr(pqc, "predict_batch", no_predictions)
+        with pytest.raises(ValueError, match="4 windows but 1 labels"):
+            loss(small_model(), np.zeros((4, 4)), [0.0])
+
 
 class TestGradient:
     def test_parameter_shift_matches_finite_difference(self):

@@ -546,3 +546,40 @@ class TestHadamardTest:
             hadamard_test(X, part="modulus")
         with pytest.raises(ValueError):
             hadamard_test(X, shots=0)
+
+    def test_runs_no_kernel(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a simulator kernel ran")
+
+        for name in ("apply_single_qubit", "apply_cnot"):
+            monkeypatch.setattr(qsim.backend, name, refuse)
+        assert hadamard_test(ry(0.9)) == pytest.approx(math.cos(0.45), abs=1e-12)
+        assert hadamard_test(ry(0.9), part="imaginary") == 0.0
+
+    def test_rejects_a_size_that_is_not_a_power_of_two(self):
+        cycle = np.roll(np.eye(3), 1, axis=0)  # unitary, but on no register
+        with pytest.raises(ValueError, match="dimension 3 is not a power of two"):
+            hadamard_test(cycle)
+
+    def test_equals_the_simulated_ancilla_circuit(self):
+        # H, controlled-U, S-adjoint for the imaginary part, H on an ancilla
+        # above U's register, read out as 2 P(0) - 1
+        h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+        sdg = np.diag([1, -1j])
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            dim = 1 << int(rng.integers(0, 4))
+            u = random_unitary(rng, dim)
+            controlled = np.block([[np.eye(dim), np.zeros((dim, dim))],
+                                   [np.zeros((dim, dim)), u]])
+            for part, phase in (("real", np.eye(2)), ("imaginary", sdg)):
+                ops = (np.kron(h, np.eye(dim)), controlled,
+                       np.kron(phase, np.eye(dim)), np.kron(h, np.eye(dim)))
+                state = np.eye(2 * dim)[0]
+                for op in ops:
+                    state = op @ state
+                p0 = float(np.sum(np.abs(state[:dim]) ** 2))
+                got = hadamard_test(u, part=part)
+                corner = u[0, 0].real if part == "real" else u[0, 0].imag
+                assert abs(got - (2 * p0 - 1)) <= 1e-12
+                assert abs(got - corner) <= 1e-12

@@ -96,9 +96,9 @@ def hadamard_cases(draw):
 
 class TestAnsatzSpec:
     def test_parameter_counts(self):
-        assert AnsatzSpec(2, 1).num_parameters == 8
-        assert AnsatzSpec(3, 2).num_parameters == 18
-        assert AnsatzSpec(4, 2).num_parameters == 24
+        assert AnsatzSpec(2).num_parameters == 8
+        assert AnsatzSpec(3).num_parameters == 18
+        assert AnsatzSpec(4).num_parameters == 24
 
     def test_default_layers(self):
         assert AnsatzSpec.default(1).layers == 1
@@ -106,35 +106,42 @@ class TestAnsatzSpec:
         assert AnsatzSpec.default(3).layers == 2
         assert AnsatzSpec.default(4).layers == 2
 
+    def test_layers_follow_the_width(self):
+        # the layer count is the width's, not a setting
+        assert [AnsatzSpec(k).layers for k in range(1, 7)] == [1, 1, 2, 2, 2, 2]
+        assert AnsatzSpec.default(3) == AnsatzSpec(3)
+        with pytest.raises(TypeError):
+            AnsatzSpec(3, 1)
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            AnsatzSpec(0, 1)
+            AnsatzSpec(0)
         with pytest.raises(ValueError):
-            ansatz_state(AnsatzSpec(2, 1), np.zeros(7))
+            ansatz_state(AnsatzSpec(2), np.zeros(7))
 
 
 class TestAnsatzCircuit:
     def test_zero_theta_is_identity_on_zero_state(self):
-        state = ansatz_state(AnsatzSpec(2, 1), np.zeros(8))
+        state = ansatz_state(AnsatzSpec(2), np.zeros(8))
         assert np.allclose(state, [1, 0, 0, 0], atol=1e-12)
 
     def test_two_qubit_gate_order_against_kron_oracle(self):
         rng = np.random.default_rng(0)
         t = rng.uniform(0, 2 * math.pi, size=8)
-        got = circuit_unitary(ansatz_circuit(AnsatzSpec(2, 1), t))
+        got = circuit_unitary(ansatz_circuit(AnsatzSpec(2), t))
         first = np.kron(rz(t[1]) @ ry(t[0]), rz(t[3]) @ ry(t[2]))
         second = np.kron(rz(t[5]) @ ry(t[4]), rz(t[7]) @ ry(t[6]))
         assert np.allclose(got, second @ CNOT_01 @ first, atol=1e-12)
 
     def test_gate_counts(self):
-        assert len(ansatz_plan(AnsatzSpec(2, 1))) == 9
-        assert len(ansatz_plan(AnsatzSpec(4, 2))) == 30
+        assert len(ansatz_plan(AnsatzSpec(2))) == 9
+        assert len(ansatz_plan(AnsatzSpec(4))) == 30
 
     def test_state_is_normalized(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             t = rng.uniform(0, 2 * math.pi, size=18)
-            state = ansatz_state(AnsatzSpec(3, 2), t)
+            state = ansatz_state(AnsatzSpec(3), t)
             assert abs(np.linalg.norm(state) - 1.0) <= 1e-10
 
 
@@ -145,10 +152,10 @@ def oracle_ansatz_state(spec, theta):
 
 
 class TestAnsatzPlan:
-    @given(k=st.integers(1, 6), layers=st.integers(1, 3), data=st.data())
+    @given(k=st.integers(1, 6), data=st.data())
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    def test_state_equals_the_circuit_oracle(self, k, layers, data):
-        spec = AnsatzSpec(k, layers)
+    def test_state_equals_the_circuit_oracle(self, k, data):
+        spec = AnsatzSpec(k)
         theta = data.draw(hnp.arrays(np.float64, spec.num_parameters,
                                      elements=st.floats(-4 * math.pi, 4 * math.pi)))
         got = ansatz_state(spec, theta)
@@ -167,15 +174,15 @@ class TestAnsatzPlan:
         vqls._paired_plan.cache_clear()
         try:
             rng = np.random.default_rng(2)
-            for spec in (AnsatzSpec(2, 1), AnsatzSpec(3, 2)) * 2:
+            for spec in (AnsatzSpec(2), AnsatzSpec(3)) * 2:
                 for _ in range(3):
                     ansatz_state(spec, rng.uniform(0, 2 * math.pi, spec.num_parameters))
-            assert built == [AnsatzSpec(2, 1), AnsatzSpec(3, 2)]
+            assert built == [AnsatzSpec(2), AnsatzSpec(3)]
         finally:
             vqls._paired_plan.cache_clear()
 
     def test_wrong_length_theta_raises_the_same_error(self):
-        spec = AnsatzSpec(2, 1)
+        spec = AnsatzSpec(2)
         p = VqlsProblem.from_system(np.diag([1.0, 2.0, 3.0, 4.0]), np.ones(4))
         message = re.escape("theta has shape (7,), expected (8,)")
         for call in (lambda t: ansatz_state(spec, t), lambda t: cost(p, t),
@@ -188,7 +195,7 @@ class TestAnsatzPlan:
         theta = np.zeros(8)
         theta[3] = bad
         p = VqlsProblem.from_system(np.diag([1.0, 2.0, 3.0, 4.0]), np.ones(4))
-        for call in (lambda: ansatz_state(AnsatzSpec(2, 1), theta),
+        for call in (lambda: ansatz_state(AnsatzSpec(2), theta),
                      lambda: cost(p, theta), lambda: cost(p, theta, estimator="hadamard")):
             with pytest.raises(ValueError, match="theta contains non-finite values"):
                 call()
@@ -227,7 +234,7 @@ class TestAnsatzPlan:
         for estimator, shots in settings:
             cost(p, theta + 0.5, estimator=estimator, shots=shots, rng=0)
         assert built == {"Gate": 0, "Circuit": 0, "Statevector": 0}
-        oracle_ansatz_state(AnsatzSpec(2, 1), theta)
+        oracle_ansatz_state(AnsatzSpec(2), theta)
         assert built == {"Gate": 9, "Circuit": 1, "Statevector": 2}
 
 
@@ -251,6 +258,16 @@ class TestVqlsProblem:
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError):
             VqlsProblem.from_system(np.eye(2), np.ones(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries_by_name(self, bad):
+        a, b = np.diag([1.0, 2.0, 3.0, 4.0]), np.ones(4)
+        b[2] = bad
+        with pytest.raises(ValueError, match="right-hand side holds a non-finite"):
+            VqlsProblem.from_system(a, b)
+        a[1, 1] = bad
+        with pytest.raises(ValueError, match="matrix holds a non-finite value"):
+            VqlsProblem.from_system(a, np.ones(4))
 
 
 class TestCost:
