@@ -16,6 +16,7 @@ O(k 4**k) work, with no loop over the 4**k strings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,10 +114,13 @@ def decompose(matrix: np.ndarray, prune_tol: float = DEFAULT_PRUNE_TOL,
               ) -> PauliDecomposition:
     """Expand a Hermitian matrix in the Pauli basis.
 
-    Rejects non-finite or non-Hermitian input (tolerance 1e-8) and drops
-    coefficients with |alpha| < prune_tol. Any power-of-two dimension works;
-    the work arrays are the size of the matrix.
+    Rejects non-finite or non-Hermitian input (tolerance 1e-8) and a
+    prune_tol that is negative or not finite, and drops coefficients with
+    |alpha| < prune_tol. Any power-of-two dimension works; the work arrays
+    are the size of the matrix.
     """
+    if not 0.0 <= prune_tol < math.inf:
+        raise ValueError(f"prune_tol must be finite and non-negative, got {prune_tol}")
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix shape {m.shape} is not square")

@@ -106,7 +106,6 @@ def default_specs() -> tuple[ModelSpec, ...]:
 @dataclass(frozen=True)
 class ModelReport:
     name: str
-    kind: str
     window: int
     train_mse: float
     test_mse: float
@@ -232,7 +231,7 @@ def run_pipeline(series: TimeSeries, specs=None,
         test_mse = baselines.mse(preds[~train_rows], windows.y[~train_rows])
         dates, actual, predicted = prep.to_units(preds, spec.window)
         reports.append(ModelReport(
-            name=spec.kind, kind=spec.kind, window=spec.window,
+            name=spec.kind, window=spec.window,
             train_mse=train_mse, test_mse=test_mse,
             num_train=int(train_rows.sum()),
             num_test=int((~train_rows).sum()),
@@ -280,7 +279,7 @@ def write_artifacts(run: RunReport, out_dir: str) -> None:
             report.predictions.dates, report.actuals.values,
             report.predictions.values)
         if report.trace:
-            label = "cost" if report.kind == "vqls" else "loss"
+            label = "cost" if report.name == "vqls" else "loss"
             write_trace_csv(
                 os.path.join(out_dir, "trace_%s.csv" % report.name),
                 report.trace, label)

@@ -14,9 +14,11 @@ Conventions:
       plain Python arithmetic: on a few qubits numpy's fixed cost per call
       outweighs the work. It equals `run_plan` to rounding, not bit for
       bit. The VQLS ansatz state runs this way.
-    * `Gate`, `Circuit`, `Statevector`, `run_batch`, `run_circuit`,
-      `circuit_unitary` and `expectation` run circuits gate by gate: the
-      oracle that the tests and the benchmark check plans against.
+    * `Circuit` records a plan gate by gate, its angles beside it.
+      `Statevector`, `run_circuit`, `circuit_unitary` and `expectation` run
+      a Circuit through `run_plan` on a checked unit-norm state. Only the
+      tests and the benchmark call them; both check plans against dense
+      oracles of their own.
     * `hadamard_test` applies the law of a Hadamard test's ancilla through
       `ancilla_estimate`; it simulates no ancilla.
 """
@@ -60,8 +62,7 @@ _ROTATIONS = {"rx": _rx, "ry": _ry, "rz": _rz}
 
 def _entries(name: str, angle: float | None) -> tuple:
     """m00, m01, m10, m11 of the single-qubit gate `name` at `angle`: the
-    one source of the numbers `run_plan` and `plan_state` apply, and the
-    oracle's `Gate` holds."""
+    one source of the numbers `run_plan` and `plan_state` apply."""
     fixed = _FIXED_1Q.get(name)
     return fixed if fixed is not None else _ROTATIONS[name](angle)
 
@@ -110,107 +111,55 @@ class Statevector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One gate application: a name, target qubits, and an angle.
-
-    Names: h, x, rx, ry, rz on one qubit, and cnot on (control, target).
-    Rotations carry `angle`. A single-qubit gate builds its `entries` m00,
-    m01, m10, m11 and its read-only 2x2 `matrix` of them once, at
-    construction; a cnot has neither.
-    """
-
-    name: str
-    qubits: tuple[int, ...]
-    angle: float | None = None
-    matrix: np.ndarray | None = field(init=False, default=None, repr=False,
-                                      compare=False)
-    entries: tuple | None = field(init=False, default=None, repr=False,
-                                  compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"repeated qubit in {self.qubits}")
-        if self.name == "cnot":
-            if len(self.qubits) != 2:
-                raise ValueError("cnot takes (control, target)")
-            return
-        if self.name in _FIXED_1Q:
-            if len(self.qubits) != 1 or self.angle is not None:
-                raise ValueError(f"{self.name} takes one qubit and no angle")
-        elif self.name in _ROTATIONS:
-            if len(self.qubits) != 1 or self.angle is None:
-                raise ValueError(f"{self.name} takes one qubit and an angle")
-            object.__setattr__(self, "angle", float(self.angle))
-        else:
-            raise ValueError(f"unknown gate {self.name!r}")
-        entries = _entries(self.name, self.angle)
-        matrix = np.array(entries, dtype=complex).reshape(2, 2)
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "entries", entries)
+Plan = tuple[tuple[str, tuple[int, ...], int | None], ...]
 
 
 class Circuit:
-    """Ordered gate list on a fixed qubit count. Build, then run."""
+    """A plan on a fixed qubit count, built gate by gate.
+
+    Each builder method checks its qubits and appends a (name, qubits,
+    index) step to `gates`; a rotation also appends its angle to `angles`,
+    at that index. So `run_plan(c.num_qubits, c.gates, c.angles, rows)`
+    runs the circuit, as `run_circuit` does.
+    """
 
     def __init__(self, num_qubits: int):
         if num_qubits < 1:
             raise ValueError("need at least one qubit")
         self.num_qubits = int(num_qubits)
-        self.gates: list[Gate] = []
+        self.gates: list[tuple[str, tuple[int, ...], int | None]] = []
+        self.angles: list[float] = []
 
-    def add(self, gate: Gate) -> None:
-        for q in gate.qubits:
+    def _add(self, name: str, qubits, angle: float | None = None) -> None:
+        qubits = tuple(int(q) for q in qubits)
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"repeated qubit in {qubits}")
+        for q in qubits:
             if not 0 <= q < self.num_qubits:
                 raise ValueError(f"qubit {q} out of range for {self.num_qubits} qubits")
-        self.gates.append(gate)
+        index = None
+        if name in _ROTATIONS:
+            self.angles.append(float(angle))
+            index = len(self.angles) - 1
+        self.gates.append((name, qubits, index))
 
     def h(self, qubit: int) -> None:
-        self.add(Gate("h", (qubit,)))
+        self._add("h", (qubit,))
 
     def x(self, qubit: int) -> None:
-        self.add(Gate("x", (qubit,)))
+        self._add("x", (qubit,))
 
     def rx(self, qubit: int, angle: float) -> None:
-        self.add(Gate("rx", (qubit,), angle=angle))
+        self._add("rx", (qubit,), angle)
 
     def ry(self, qubit: int, angle: float) -> None:
-        self.add(Gate("ry", (qubit,), angle=angle))
+        self._add("ry", (qubit,), angle)
 
     def rz(self, qubit: int, angle: float) -> None:
-        self.add(Gate("rz", (qubit,), angle=angle))
+        self._add("rz", (qubit,), angle)
 
     def cnot(self, control: int, target: int) -> None:
-        self.add(Gate("cnot", (control, target)))
-
-
-def _run(num_qubits: int, steps, amplitudes) -> np.ndarray:
-    """The one gate loop: apply each (qubits, entries) step, with entries
-    None for a cnot as in `Gate`, to a copy of `amplitudes`, whose rows
-    must have length 2**num_qubits."""
-    buf = np.array(amplitudes, dtype=complex)
-    if buf.ndim == 0 or buf.shape[-1] != 1 << num_qubits:
-        raise ValueError(f"amplitude rows of shape {buf.shape} do not fit "
-                         f"{num_qubits} qubits")
-    for qubits, entries in steps:
-        if entries is None:
-            backend.apply_cnot(buf, num_qubits, qubits[0], qubits[1])
-        else:
-            backend.apply_single_qubit(buf, num_qubits, qubits[0], *entries)
-    return buf
-
-
-def run_batch(circuit: Circuit, amplitudes) -> np.ndarray:
-    """Apply all gates in order to every row of `amplitudes`, an array whose
-    last axis has length 2**num_qubits; returns the results as a new array.
-    Unlike `run_circuit`, it does not check that each row has unit norm."""
-    return _run(circuit.num_qubits, ((g.qubits, g.entries) for g in circuit.gates),
-                amplitudes)
-
-
-Plan = tuple[tuple[str, tuple[int, ...], int | None], ...]
+        self._add("cnot", (control, target))
 
 
 def run_plan(num_qubits: int, plan: Plan, theta, amplitudes) -> np.ndarray:
@@ -218,15 +167,22 @@ def run_plan(num_qubits: int, plan: Plan, theta, amplitudes) -> np.ndarray:
     to every row of `amplitudes`, an array whose last axis has length
     2**num_qubits; returns the results as a new array.
 
-    Each rotation's entries come from `_entries`, as the oracle `Gate`'s
-    do, so the result is bitwise `run_batch`'s on the plan's gates built at
-    `theta`; but no Gate or Circuit is built, and no qubit is checked.
+    The one gate loop: each step is one call of a backend kernel, with a
+    single-qubit gate's entries from `_entries`. No qubit is checked, and
+    no row's norm.
     """
     angles = np.asarray(theta, dtype=float).tolist()
-    return _run(num_qubits, (
-        (qubits, None if name == "cnot" else
-         _entries(name, None if p is None else angles[p]))
-        for name, qubits, p in plan), amplitudes)
+    buf = np.array(amplitudes, dtype=complex)
+    if buf.ndim == 0 or buf.shape[-1] != 1 << num_qubits:
+        raise ValueError(f"amplitude rows of shape {buf.shape} do not fit "
+                         f"{num_qubits} qubits")
+    for name, qubits, p in plan:
+        if name == "cnot":
+            backend.apply_cnot(buf, num_qubits, qubits[0], qubits[1])
+        else:
+            backend.apply_single_qubit(buf, num_qubits, qubits[0], *_entries(
+                name, None if p is None else angles[p]))
+    return buf
 
 
 PairedPlan = tuple[tuple[str, int | None, tuple[tuple[int, int], ...]], ...]
@@ -278,13 +234,14 @@ def plan_state(num_qubits: int, paired: PairedPlan, theta) -> np.ndarray:
 
 
 def run_circuit(circuit: Circuit, initial: Statevector | None = None) -> Statevector:
-    """Apply all gates in order to `initial` (default |0...0>)."""
+    """Run the circuit's plan at its angles on `initial` (default |0...0>)."""
     if initial is None:
         initial = Statevector.zero(circuit.num_qubits)
     if initial.num_qubits != circuit.num_qubits:
         raise ValueError(f"state has {initial.num_qubits} qubits, "
                          f"circuit has {circuit.num_qubits}")
-    return Statevector(run_batch(circuit, initial.amplitudes))
+    return Statevector(run_plan(circuit.num_qubits, circuit.gates, circuit.angles,
+                                initial.amplitudes))
 
 
 def light_cone(num_qubits: int, plan: Plan, qubits) -> tuple[tuple[int, ...], Plan]:
@@ -321,7 +278,8 @@ def light_cone(num_qubits: int, plan: Plan, qubits) -> tuple[tuple[int, ...], Pl
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense matrix of the whole circuit (column i = circuit applied to |i>)."""
-    return run_batch(circuit, np.eye(1 << circuit.num_qubits)).T
+    return run_plan(circuit.num_qubits, circuit.gates, circuit.angles,
+                    np.eye(1 << circuit.num_qubits)).T
 
 
 def apply_pauli(amplitudes: np.ndarray, digits) -> np.ndarray:
@@ -371,6 +329,8 @@ def hadamard_test(matrix: np.ndarray, part: str = "real",
     itself in exact mode (shots=None), `shots` Bernoulli trials otherwise.
     """
     u = np.asarray(matrix, dtype=complex)
+    if u.size == 0:
+        raise ValueError(f"matrix of shape {u.shape} is empty")
     if not is_unitary(u):
         raise ValueError("matrix is not unitary within 1e-10")
     dim = u.shape[0]

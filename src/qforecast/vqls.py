@@ -274,6 +274,8 @@ def solve(problem: VqlsProblem, optimizer: str = "cobyla", seed: int = 0,
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     if shots is not None and shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
     ansatz = AnsatzSpec.default(problem.num_qubits)

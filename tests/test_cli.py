@@ -306,7 +306,7 @@ class TestSolveVqls:
         code = main(["solve-vqls", "--matrix", a_path, "--rhs", b_path,
                      "--max-iters", "0"])
         assert code == EXIT_INPUT_ERROR
-        assert "max_evals must be at least 1, got 0" in capsys.readouterr().err
+        assert "max_iters must be at least 1, got 0" in capsys.readouterr().err
 
     def test_non_finite_system_fails_before_any_solve(self, tmp_path, capsys):
         a_path, b_path = spd_system(tmp_path)
@@ -356,6 +356,15 @@ class TestDecompose:
         out, err = capsys.readouterr()
         assert out == ""
         assert "matrix holds a non-finite value" in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1e-9"])
+    def test_bad_prune_tol_rejected(self, tmp_path, capsys, bad):
+        a_path, _ = spd_system(tmp_path)
+        assert main(["decompose", "--matrix", a_path,
+                     "--prune-tol=" + bad]) == EXIT_INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "prune_tol must be finite and non-negative, got" in err
 
 
 class TestForecastPipeline:

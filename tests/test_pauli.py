@@ -1,5 +1,6 @@
 """Pauli decomposition tests: orthogonality, round trips, worked indices."""
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -178,6 +179,12 @@ class TestDecompose:
         m = 2.0 * pauli_matrix("XX") + 1e-14 * pauli_matrix("ZZ")
         d = decompose(np.real(m + m.conj().T) / 2, prune_tol=1e-12)
         assert [s.label for _, s in d.terms] == ["XX"]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-12])
+    def test_rejects_a_bad_prune_tol_naming_it(self, bad):
+        with pytest.raises(ValueError, match="prune_tol must be finite and "
+                                             "non-negative, got %s" % bad):
+            decompose(np.eye(2), prune_tol=bad)
 
 
 class TestContraction:

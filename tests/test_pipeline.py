@@ -113,7 +113,7 @@ class TestRunPipelineLinear:
                            split_date=SPLIT)
         assert len(run.reports) == 1
         r = run.reports[0]
-        assert r.kind == "linear"
+        assert r.name == "linear" and not hasattr(r, "kind")
         assert np.isfinite(r.train_mse) and np.isfinite(r.test_mse)
         assert r.trace == ()
         assert len(r.predictions) == len(r.actuals)

@@ -60,8 +60,8 @@ def ry_circuit(window):
 
 
 def model_circuit(model):
-    """The oracle's form of the model: model_plan's gates built at its theta."""
-    return bind(model.num_qubits, model_plan(model.num_qubits), model.theta)
+    """The model as a Circuit: model_plan's steps at the model's theta."""
+    return bind(qsim.Circuit(model.num_qubits), model_plan(model.num_qubits), model.theta)
 
 
 def encode(window):
@@ -72,13 +72,11 @@ def encode(window):
 
 def full_circuit_predictions(model, windows):
     """Oracle: one circuit per window, its RY encoding gates followed by the
-    gates of model_plan at the model's theta, run from |0...0>."""
+    steps of model_plan at the model's theta, run from |0...0>."""
     readout = "Z" + "I" * (model.num_qubits - 1)
     out = []
     for w in windows:
-        circuit = ry_circuit(w)
-        for gate in model_circuit(model).gates:
-            circuit.add(gate)
+        circuit = bind(ry_circuit(w), model_plan(model.num_qubits), model.theta)
         out.append(qsim.expectation(qsim.run_circuit(circuit), readout))
     return np.array(out)
 
@@ -269,12 +267,11 @@ class TestFullCircuitOracle:
 
 def light_cone_predictions(model, windows):
     """Oracle: <Z_0> from the light cone of the whole model_plan, cut for
-    each call by qsim.light_cone and run as gates built at the model's
-    theta."""
+    each call by qsim.light_cone and run at the model's theta."""
     k = model.num_qubits
     cone, plan = qsim.light_cone(k, model_plan(k), [0])
     states = pqc._product_states(np.asarray(windows)[:, cone])
-    return pqc._z0(qsim.run_batch(bind(len(cone), plan, model.theta), states))
+    return pqc._z0(qsim.run_plan(len(cone), plan, model.theta, states))
 
 
 def expected_cone(k):
@@ -303,8 +300,8 @@ class TestLightCone:
 
     @pytest.mark.parametrize("k", range(1, 17))
     def test_predictions_equal_the_cone_of_the_whole_circuit(self, k):
-        # the cone plan at the model's theta runs the gates light_cone
-        # keeps of model_plan, built as gates: same order, same bits
+        # the cone plan at the model's theta runs the steps light_cone
+        # keeps of model_plan: same order, same bits
         rng = np.random.default_rng(50 + k)
         for theta in (rng.uniform(-0.1, 0.1, 4 * k),
                       rng.uniform(-math.pi, math.pi, 4 * k)):
@@ -402,7 +399,7 @@ class TestLoss:
         loss(m, windows, labels)
         built = count_constructions(monkeypatch)
         loss(m.with_theta(rng.uniform(-math.pi, math.pi, 48)), windows, labels)
-        assert built == {"Gate": 0, "Circuit": 0, "Statevector": 0}
+        assert built == {"Circuit": 0, "Statevector": 0}
 
     def test_zero_when_labels_match_predictions(self):
         rng = np.random.default_rng(3)
@@ -506,7 +503,7 @@ class TestGradient:
         gradient(m, windows, labels)
         built = count_constructions(monkeypatch)
         gradient(m.with_theta(rng.uniform(-math.pi, math.pi, 48)), windows, labels)
-        assert built == {"Gate": 0, "Circuit": 0, "Statevector": 0}
+        assert built == {"Circuit": 0, "Statevector": 0}
 
 
 class TestTrain:

@@ -35,8 +35,8 @@ CNOT_01 = np.array([[1, 0, 0, 0],
 
 
 def ansatz_circuit(spec, theta):
-    """The oracle's form of the ansatz: ansatz_plan's gates built at theta."""
-    return bind(spec.num_qubits, ansatz_plan(spec), theta)
+    """The ansatz as a Circuit: ansatz_plan's steps at theta."""
+    return bind(qsim.Circuit(spec.num_qubits), ansatz_plan(spec), theta)
 
 
 def easy_spd(rng, dim=4):
@@ -146,8 +146,9 @@ class TestAnsatzCircuit:
 
 
 def oracle_ansatz_state(spec, theta):
-    """The ansatz as objects: its plan bound into a Circuit of Gates, run
-    by qsim.run_circuit from the Statevector |0...0>."""
+    """The ansatz as a Circuit, run by qsim.run_circuit from the
+    Statevector |0...0> with the numpy kernels, not plan_state's Python
+    arithmetic."""
     return np.array(qsim.run_circuit(ansatz_circuit(spec, theta)).amplitudes)
 
 
@@ -233,9 +234,9 @@ class TestAnsatzPlan:
         built = count_constructions(monkeypatch)
         for estimator, shots in settings:
             cost(p, theta + 0.5, estimator=estimator, shots=shots, rng=0)
-        assert built == {"Gate": 0, "Circuit": 0, "Statevector": 0}
+        assert built == {"Circuit": 0, "Statevector": 0}
         oracle_ansatz_state(AnsatzSpec(2), theta)
-        assert built == {"Gate": 9, "Circuit": 1, "Statevector": 2}
+        assert built == {"Circuit": 1, "Statevector": 2}
 
 
 class TestVqlsProblem:
@@ -615,3 +616,12 @@ class TestSolve:
             with pytest.raises(ValueError,
                                match="restarts must be at least 1, got %d" % restarts):
                 solve(p, restarts=restarts)
+
+    def test_rejects_no_budget_before_any_evaluation(self, monkeypatch):
+        p = VqlsProblem.from_system(np.eye(2), np.array([1.0, 0.0]))
+        monkeypatch.setattr(vqls, "cost", lambda *args, **kwargs: pytest.fail(
+            "the cost was evaluated"))
+        for max_iters in (0, -5):
+            with pytest.raises(ValueError,
+                               match="max_iters must be at least 1, got %d" % max_iters):
+                solve(p, max_iters=max_iters)
